@@ -1,7 +1,6 @@
-//! Survival-kernel shoot-out: the three two-hop kernels (early-exit wedge
-//! scan, cache-blocked SWAR bitset, sorted intersection) answering the
-//! same SquarePruning survival query on the three shapes that span the
-//! dispatch space:
+//! Survival-kernel shoot-out: the two two-hop kernels (early-exit wedge
+//! scan, cache-blocked SWAR bitset) answering the same SquarePruning
+//! survival query on the three shapes that span the dispatch space:
 //!
 //! * **hub** — organic anchors riding a handful of ultra-popular items,
 //!   the shape the blocked kernel exists for: the wedge scan must walk
@@ -13,16 +12,16 @@
 //! * **biclique** — a planted dense block, the attack structure itself:
 //!   every kernel early-exits almost immediately.
 //!
-//! The measured numbers are what justify the `KernelPolicy` defaults in
-//! `ricd-core/src/params.rs` — see the doc comment there and the
+//! The measured numbers are what justify the hub constants in
+//! `ricd-core/src/kernel.rs` — see the doc comments there and the
 //! DESIGN.md "Wedge kernel selection" section. Run with
 //! `cargo bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ricd_core::kernel::{HUB_MAX_COUNT, HUB_MIN_DEGREE};
 use ricd_graph::twohop::{
-    blocked_user_has_qualified_neighbors, user_has_qualified_neighbors,
-    user_has_qualified_neighbors_sorted, CommonNeighborScratch, HubBitmaps, KernelScratch,
-    SortedNeighborScratch,
+    blocked_user_has_qualified_neighbors, user_has_qualified_neighbors, CommonNeighborScratch,
+    HubBitmaps, KernelScratch,
 };
 use ricd_graph::{BipartiteGraph, GraphBuilder, GraphView, ItemId, UserId};
 use std::hint::black_box;
@@ -140,22 +139,17 @@ fn bench(c: &mut Criterion) {
 
     for shape in shapes() {
         let view = GraphView::full(&shape.g);
-        let hubs = HubBitmaps::build(&view, 64, 64);
+        let hubs = HubBitmaps::build(&view, HUB_MIN_DEGREE, HUB_MAX_COUNT);
         let (bound, need) = (shape.bound, shape.need);
 
-        // Sanity: all three kernels agree on this shape before timing it.
+        // Sanity: both kernels agree on this shape before timing it.
         {
             let mut w = CommonNeighborScratch::new(shape.g.num_users());
-            let mut s = SortedNeighborScratch::new(shape.g.num_users());
             let mut k = KernelScratch::new(shape.g.num_users());
             for &u in &shape.anchors {
                 let want = user_has_qualified_neighbors(&view, u, bound, need, &mut w);
                 assert_eq!(
                     blocked_user_has_qualified_neighbors(&view, &hubs, u, bound, need, &mut k),
-                    want
-                );
-                assert_eq!(
-                    user_has_qualified_neighbors_sorted(&view, u, bound, need, &mut s),
                     want
                 );
             }
@@ -196,25 +190,8 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        group.bench_function(format!("{}/sorted", shape.name), |b| {
-            let mut scratch = SortedNeighborScratch::new(shape.g.num_users());
-            b.iter(|| {
-                let mut survivors = 0u32;
-                for &u in &shape.anchors {
-                    survivors += u32::from(user_has_qualified_neighbors_sorted(
-                        &view,
-                        u,
-                        bound,
-                        need,
-                        &mut scratch,
-                    ));
-                }
-                black_box(survivors)
-            })
-        });
-
         group.bench_function(format!("{}/hub_registry_build", shape.name), |b| {
-            b.iter(|| black_box(HubBitmaps::build(&view, 64, 64)))
+            b.iter(|| black_box(HubBitmaps::build(&view, HUB_MIN_DEGREE, HUB_MAX_COUNT)))
         });
     }
 

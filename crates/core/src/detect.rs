@@ -127,8 +127,17 @@ pub fn detect_groups_with(
     let mut view = starting_view(g, seeds);
 
     let stats = extract_with(&mut view, params, pool, strategy, mode, metrics);
+    DetectedGroups {
+        groups: surviving_groups(&view, params),
+        stats,
+    }
+}
 
-    let groups = connected_components(&view)
+/// Splits the extraction survivors into connected components, each one a
+/// candidate group. Shared with the sharded runtime: both paths finish on a
+/// view holding the same alive set.
+pub(crate) fn surviving_groups(view: &GraphView<'_>, params: &RicdParams) -> Vec<SuspiciousGroup> {
+    connected_components(view)
         .into_iter()
         // A component smaller than (k₁, k₂) cannot contain a qualifying
         // structure; singletons and slivers are artifacts, not attacks.
@@ -138,9 +147,7 @@ pub fn detect_groups_with(
             items: c.items,
             ridden_hot_items: Vec::new(),
         })
-        .collect();
-
-    DetectedGroups { groups, stats }
+        .collect()
 }
 
 #[cfg(test)]

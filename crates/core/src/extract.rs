@@ -9,6 +9,12 @@
 //!   (α, k₂)-neighbors — same-side vertices sharing ≥ `⌈k₂·α⌉` common
 //!   neighbors — and every member item ≥ `k₂` (α, k₁)-neighbors.
 //!
+//! This module holds the **only** loop that alternates the two rules. It
+//! is generic over the view ([`PruneView`]), so unsharded detection, every
+//! shard-local prune and the sharded reconciliation are the same call on
+//! different views ([`crate::shard_run`]); a hash shard additionally pins
+//! its halo users and boundary items through [`Removable`] masks.
+//!
 //! Two execution strategies are provided:
 //!
 //! * [`SquareStrategy::Parallel`] (default) — bulk-synchronous rounds on the
@@ -28,11 +34,11 @@
 //! only if something in its neighborhood was removed — one hop away for the
 //! degree bound, two hops for the common-neighbor bound. The default
 //! [`FixpointMode::Delta`] exploits this: after one full seeding round,
-//! every later round checks only the dirty frontier derived from the
-//! [`GraphView`] removal log ([`ricd_graph::frontier`]), instead of
-//! re-scanning every vertex every round. When most of the view has died,
-//! the remaining work is compacted onto a small remapped graph
-//! ([`InducedSubgraph::compact`]) so even adjacency walks stop touching
+//! every later round checks only the dirty frontier derived from the log of
+//! its own removals ([`ricd_graph::frontier`]), instead of re-scanning
+//! every vertex every round. When most of the view has died and the view
+//! can rebuild itself ([`PruneView::compact`]), the remaining work moves
+//! onto a small remapped graph so even adjacency walks stop touching
 //! corpses. [`FixpointMode::FullRescan`] preserves the pre-delta behavior
 //! for differential testing.
 //!
@@ -41,12 +47,11 @@
 //! affect intermediate work, never the surviving vertex set.
 
 use crate::kernel::{self, KernelTally};
-use crate::params::{KernelPolicy, RicdParams};
+use crate::params::RicdParams;
 use ricd_engine::WorkerPool;
 use ricd_graph::frontier::{self, FrontierScratch};
 use ricd_graph::twohop::{self, CommonNeighborScratch, HubBitmaps, KernelScratch};
-use ricd_graph::view::LogMark;
-use ricd_graph::{GraphView, InducedSubgraph, ItemId, UserId};
+use ricd_graph::{GraphView, InducedSubgraph, ItemId, PruneView, UserId};
 use ricd_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +82,8 @@ pub enum FixpointMode {
 /// Counters describing one extraction run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExtractionStats {
-    /// Alternation rounds until the fixpoint.
+    /// Alternation rounds until the fixpoint (summed over every fixpoint a
+    /// sharded run executes).
     pub rounds: usize,
     /// Users removed by CorePruning.
     pub core_removed_users: usize,
@@ -102,7 +108,8 @@ pub struct ExtractionStats {
     pub kernel_wedge: u64,
     /// Survival queries answered by the blocked SWAR kernel.
     pub kernel_blocked: u64,
-    /// Survival queries answered by the sorted-intersection kernel.
+    /// Always 0: the sorted-intersection kernel is gone; the field stays
+    /// because the frozen benchmark adapter names it.
     pub kernel_sorted: u64,
     /// Largest hub-bitmap registry materialized during the run, in bytes
     /// (exported as the `twohop.hub_bitmap_bytes` gauge).
@@ -110,11 +117,55 @@ pub struct ExtractionStats {
 }
 
 impl ExtractionStats {
-    /// Folds one worker's / one pass's kernel tally into the run counters.
-    pub(crate) fn absorb_kernels(&mut self, tally: KernelTally) {
+    fn absorb_kernels(&mut self, tally: KernelTally) {
         self.kernel_wedge += tally.wedge;
         self.kernel_blocked += tally.blocked;
-        self.kernel_sorted += tally.sorted;
+    }
+
+    /// Folds another fixpoint's counters into this run's.
+    pub(crate) fn absorb(&mut self, other: &ExtractionStats) {
+        self.rounds += other.rounds;
+        self.core_removed_users += other.core_removed_users;
+        self.core_removed_items += other.core_removed_items;
+        self.square_removed_users += other.square_removed_users;
+        self.square_removed_items += other.square_removed_items;
+        self.dirty_users += other.dirty_users;
+        self.dirty_items += other.dirty_items;
+        self.skipped_users += other.skipped_users;
+        self.skipped_items += other.skipped_items;
+        self.compactions += other.compactions;
+        self.kernel_wedge += other.kernel_wedge;
+        self.kernel_blocked += other.kernel_blocked;
+        // Max, not sum: registries are per-fixpoint and freed when it ends,
+        // so the gauge reports peak working-set bytes.
+        self.hub_bitmap_bytes = self.hub_bitmap_bytes.max(other.hub_bitmap_bytes);
+    }
+}
+
+/// Which vertices a fixpoint may remove, one optional mask per side indexed
+/// by vertex id; `None` means every vertex on that side.
+///
+/// A hash shard pins its halo users and boundary items this way: their
+/// local counts are not exact, so only the masked-in vertices (whose counts
+/// are) may be removed, which keeps every shard-local removal globally
+/// sound. Pinned vertices still count as alive neighbors.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Removable<'a> {
+    /// `users[u]` is true when user `u` may be removed.
+    pub users: Option<&'a [bool]>,
+    /// `items[v]` is true when item `v` may be removed.
+    pub items: Option<&'a [bool]>,
+}
+
+impl Removable<'_> {
+    #[inline]
+    fn user(&self, u: UserId) -> bool {
+        self.users.is_none_or(|m| m[u.index()])
+    }
+
+    #[inline]
+    fn item(&self, v: ItemId) -> bool {
+        self.items.is_none_or(|m| m[v.index()])
     }
 }
 
@@ -126,8 +177,8 @@ const COMPACT_MIN_VERTICES: usize = 1024;
 
 /// Runs Algorithm 3 in place on `view`, leaving only vertices that can
 /// belong to an (α, k₁, k₂)-extension biclique.
-pub fn extract(
-    view: &mut GraphView<'_>,
+pub fn extract<V: PruneView + Sync>(
+    view: &mut V,
     params: &RicdParams,
     pool: &WorkerPool,
     strategy: SquareStrategy,
@@ -140,8 +191,23 @@ pub fn extract(
 /// With a registry attached, per-round wall time is recorded under
 /// `extract.round_nanos`; the dirty/skipped/compaction counters are in the
 /// returned [`ExtractionStats`] for the caller to export.
-pub fn extract_with(
-    view: &mut GraphView<'_>,
+pub fn extract_with<V: PruneView + Sync>(
+    view: &mut V,
+    params: &RicdParams,
+    pool: &WorkerPool,
+    strategy: SquareStrategy,
+    mode: FixpointMode,
+    metrics: Option<&MetricsRegistry>,
+) -> ExtractionStats {
+    let all = Removable::default();
+    extract_masked(view, all, params, pool, strategy, mode, metrics)
+}
+
+/// [`extract_with`] restricted to the `removable` vertices: the fixpoint of
+/// the two rules over those, with everything else pinned alive.
+pub fn extract_masked<V: PruneView + Sync>(
+    view: &mut V,
+    removable: Removable<'_>,
     params: &RicdParams,
     pool: &WorkerPool,
     strategy: SquareStrategy,
@@ -154,19 +220,85 @@ pub fn extract_with(
         strategy,
         mode,
         metrics,
+        removable,
     };
     let mut stats = ExtractionStats::default();
     run_fixpoint(view, &ctx, None, 1, &mut stats);
     stats
 }
 
+/// CorePruning alone, to its own fixpoint, over every alive vertex: the
+/// sharded runtime's pre-filter. Returns `(removed users, removed items)`.
+pub(crate) fn core_prune<V: PruneView + Sync>(
+    view: &mut V,
+    params: &RicdParams,
+    pool: &WorkerPool,
+) -> (usize, usize) {
+    let ctx = FixpointCtx {
+        params,
+        pool,
+        strategy: SquareStrategy::default(),
+        mode: FixpointMode::default(),
+        metrics: None,
+        removable: Removable::default(),
+    };
+    let mut fscratch = FrontierScratch::for_view(view);
+    let (users, items) = (alive_user_ids(view), alive_item_ids(view));
+    core_pruning(&mut Pruned::new(view), &ctx, users, items, &mut fscratch)
+}
+
 /// Immutable per-run configuration threaded through the fixpoint.
+#[derive(Clone, Copy)]
 struct FixpointCtx<'a> {
     params: &'a RicdParams,
     pool: &'a WorkerPool,
     strategy: SquareStrategy,
     mode: FixpointMode,
     metrics: Option<&'a MetricsRegistry>,
+    removable: Removable<'a>,
+}
+
+/// The view being pruned plus the log of what this fixpoint level removed
+/// from it, in removal order. Every removal the fixpoint makes goes through
+/// here, so "what disappeared since pass X last ran?" is a suffix of the
+/// log and each pass derives its next dirty frontier from it.
+struct Pruned<'v, V> {
+    view: &'v mut V,
+    users: Vec<UserId>,
+    items: Vec<ItemId>,
+}
+
+/// A position in a [`Pruned`] log: `(users logged, items logged)`.
+type LogMark = (usize, usize);
+
+impl<'v, V: PruneView> Pruned<'v, V> {
+    fn new(view: &'v mut V) -> Self {
+        Self {
+            view,
+            users: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Removes an **alive** user (callers check), logging it once.
+    fn remove_user(&mut self, u: UserId) {
+        self.view.remove_user(u);
+        self.users.push(u);
+    }
+
+    /// Removes an **alive** item (callers check), logging it once.
+    fn remove_item(&mut self, v: ItemId) {
+        self.view.remove_item(v);
+        self.items.push(v);
+    }
+
+    fn mark(&self) -> LogMark {
+        (self.users.len(), self.items.len())
+    }
+
+    fn since(&self, mark: LogMark) -> (&[UserId], &[ItemId]) {
+        (&self.users[mark.0..], &self.items[mark.1..])
+    }
 }
 
 /// Pending worklists handed across a compaction boundary (already in the
@@ -186,17 +318,17 @@ struct Carryover {
 
 /// The alternating pruning loop on one view. Recurses (at most once per
 /// level) into a compacted copy when the alive fraction collapses.
-fn run_fixpoint(
-    view: &mut GraphView<'_>,
+fn run_fixpoint<V: PruneView + Sync>(
+    view: &mut V,
     ctx: &FixpointCtx<'_>,
     carryover: Option<Carryover>,
     start_round: usize,
     stats: &mut ExtractionStats,
 ) {
-    let user_scratch = ScratchPool::new(view.graph().num_users());
-    let item_scratch = ScratchPool::new(view.graph().num_items());
+    let user_scratch = ScratchPool::new(view.num_users());
+    let item_scratch = ScratchPool::new(view.num_items());
     let mut fscratch = FrontierScratch::for_view(view);
-    let policy = KernelPolicy::default();
+    let mut pv = Pruned::new(view);
     // Hub bitmaps are built at most once per fixpoint level — lazily,
     // after the first CorePruning fixpoint has collapsed the degree
     // distribution — and stay sound for every later round (monotone
@@ -209,9 +341,9 @@ fn run_fixpoint(
     // Per-pass log positions: each pass's next frontier is derived from
     // everything removed since it last ran (for CorePruning: since it last
     // *finished*, because it runs to its own fixpoint).
-    let mut core_mark = view.log_mark();
-    let mut sq_user_mark = view.log_mark();
-    let mut sq_item_mark = view.log_mark();
+    let mut core_mark = pv.mark();
+    let mut sq_user_mark = pv.mark();
+    let mut sq_item_mark = pv.mark();
     let mut carry = carryover;
 
     for round in start_round..=ctx.params.max_rounds {
@@ -226,20 +358,20 @@ fn run_fixpoint(
 
         // --- CorePruning, to its own fixpoint ---
         let (mut seed_users, mut seed_items) = if full {
-            (alive_user_ids(view), alive_item_ids(view))
+            (alive_user_ids(pv.view), alive_item_ids(pv.view))
         } else {
-            let (ru, ri) = view.removed_since(core_mark);
+            let (ru, ri) = pv.since(core_mark);
             (
-                frontier::core_dirty_users(view, ri, &mut fscratch),
-                frontier::core_dirty_items(view, ru, &mut fscratch),
+                frontier::core_dirty_users(pv.view, ri, &mut fscratch),
+                frontier::core_dirty_items(pv.view, ru, &mut fscratch),
             )
         };
         if let Some(c) = &carry_now {
             merge_sorted(&mut seed_users, &c.core_users);
             merge_sorted(&mut seed_items, &c.core_items);
         }
-        let core = core_pruning(view, ctx, seed_users, seed_items, &mut fscratch);
-        core_mark = view.log_mark();
+        let core = core_pruning(&mut pv, ctx, seed_users, seed_items, &mut fscratch);
+        core_mark = pv.mark();
         stats.core_removed_users += core.0;
         stats.core_removed_items += core.1;
 
@@ -253,19 +385,13 @@ fn run_fixpoint(
         // can kill the vast majority of vertices, and every SquarePruning
         // wedge walk on the original CSR still pays to skip the dead
         // adjacency entries. The square passes resume on the dense copy.
-        if matches!(ctx.mode, FixpointMode::Delta) && should_compact(view) {
-            compact_and_recurse(
-                view,
-                ctx,
-                core_mark,
-                sq_user_mark,
-                sq_item_mark,
-                &mut fscratch,
-                round,
-                square_full,
-                stats,
-            );
-            return;
+        if matches!(ctx.mode, FixpointMode::Delta) && should_compact(pv.view) {
+            if let Some(sub) = pv.view.compact() {
+                let marks = [core_mark, sq_user_mark, sq_item_mark];
+                let carry = carry_into(&sub, &pv, marks, square_full, &mut fscratch);
+                resume_compacted(pv.view, &sub, ctx, carry, round, stats);
+                return;
+            }
         }
 
         // --- SquarePruning, one user pass + one item pass ---
@@ -280,12 +406,12 @@ fn run_fixpoint(
             _ => (None, None),
         };
         if matches!(ctx.strategy, SquareStrategy::Parallel) && hubs.is_none() {
-            let h = kernel::build_hubs(view, &policy);
+            let h = kernel::build_hubs(pv.view);
             stats.hub_bitmap_bytes = stats.hub_bitmap_bytes.max(h.heap_bytes());
             hubs = Some(h);
         }
         let sq_users = square_user_round(
-            view,
+            &mut pv,
             ctx,
             square_full,
             &mut sq_user_mark,
@@ -293,11 +419,10 @@ fn run_fixpoint(
             &mut fscratch,
             &user_scratch,
             hubs.as_ref(),
-            &policy,
             stats,
         );
         let sq_items = square_item_round(
-            view,
+            &mut pv,
             ctx,
             square_full,
             &mut sq_item_mark,
@@ -305,7 +430,6 @@ fn run_fixpoint(
             &mut fscratch,
             &item_scratch,
             hubs.as_ref(),
-            &policy,
             stats,
         );
         stats.square_removed_users += sq_users;
@@ -328,64 +452,84 @@ fn run_fixpoint(
 /// True once the view is mostly corpses and big enough that rebuilding a
 /// dense subgraph is cheaper than dragging dead adjacency entries through
 /// every remaining pass.
-fn should_compact(view: &GraphView<'_>) -> bool {
-    let total = view.graph().num_users() + view.graph().num_items();
+fn should_compact<V: PruneView>(view: &V) -> bool {
+    let total = view.num_users() + view.num_items();
     let alive = view.alive_users() + view.alive_items();
     alive > 0 && total >= COMPACT_MIN_VERTICES && alive * COMPACT_ALIVE_DIVISOR < total
 }
 
-/// Rebuilds the alive region as a dense graph, continues the fixpoint
-/// there (worklists translated in), and applies the deaths back to `view`.
-#[allow(clippy::too_many_arguments)]
-fn compact_and_recurse(
-    view: &mut GraphView<'_>,
-    ctx: &FixpointCtx<'_>,
-    core_mark: LogMark,
-    sq_user_mark: LogMark,
-    sq_item_mark: LogMark,
-    fscratch: &mut FrontierScratch,
-    round: usize,
+/// The pending frontiers of the three passes (`marks`: core, square-user,
+/// square-item), derived in the parent id space and translated into
+/// `sub`'s. `user_map`/`item_map` are sorted, so translation preserves
+/// worklist order; vertices the maps don't contain are dead and need no
+/// check. When the interrupted round's square passes were full anyway,
+/// there is no point materialising an "everything alive" frontier — the
+/// flag makes the resumed round re-check the whole (now dense) view.
+fn carry_into<V: PruneView>(
+    sub: &InducedSubgraph,
+    pv: &Pruned<'_, V>,
+    marks: [LogMark; 3],
     square_full: bool,
-    stats: &mut ExtractionStats,
-) {
-    // Pending frontiers in parent-id space, derived before the ids change.
-    // When the interrupted round's square passes were full anyway, there is
-    // no point materialising an "everything alive" frontier — the flag makes
-    // the resumed round re-check the whole (now dense) view.
-    let (core_users, core_items) = {
-        let (ru, ri) = view.removed_since(core_mark);
-        (
-            frontier::core_dirty_users(view, ri, fscratch),
-            frontier::core_dirty_items(view, ru, fscratch),
-        )
+    fscratch: &mut FrontierScratch,
+) -> Carryover {
+    let [core_mark, sq_user_mark, sq_item_mark] = marks;
+    let view: &V = pv.view;
+    let local_users = |parents: Vec<u32>| -> Vec<u32> {
+        let local = |&u| sub.local_user(UserId(u)).map(|l| l.0);
+        parents.iter().filter_map(local).collect()
     };
+    let local_items = |parents: Vec<u32>| -> Vec<u32> {
+        let local = |&v| sub.local_item(ItemId(v)).map(|l| l.0);
+        parents.iter().filter_map(local).collect()
+    };
+    let (ru, ri) = pv.since(core_mark);
+    let core_users = local_users(frontier::core_dirty_users(view, ri, fscratch));
+    let core_items = local_items(frontier::core_dirty_items(view, ru, fscratch));
     let (square_users, square_items) = if square_full {
         (Vec::new(), Vec::new())
     } else {
-        let su = {
-            let (ru, ri) = view.removed_since(sq_user_mark);
-            frontier::square_dirty_users(view, ru, ri, fscratch)
-        };
-        let si = {
-            let (ru, ri) = view.removed_since(sq_item_mark);
-            frontier::square_dirty_items(view, ru, ri, fscratch)
-        };
-        (su, si)
+        let (ru, ri) = pv.since(sq_user_mark);
+        let su = frontier::square_dirty_users(view, ru, ri, fscratch);
+        let (ru, ri) = pv.since(sq_item_mark);
+        let si = frontier::square_dirty_items(view, ru, ri, fscratch);
+        (local_users(su), local_items(si))
     };
-
-    let sub = InducedSubgraph::compact(view);
-    stats.compactions += 1;
-    // `user_map`/`item_map` are sorted, so translation preserves worklist
-    // order; vertices the maps don't contain are dead and need no check.
-    let carry = Carryover {
-        core_users: to_local_users(&sub, &core_users),
-        core_items: to_local_items(&sub, &core_items),
-        square_users: to_local_users(&sub, &square_users),
-        square_items: to_local_items(&sub, &square_items),
+    Carryover {
+        core_users,
+        core_items,
+        square_users,
+        square_items,
         square_full,
+    }
+}
+
+/// Continues the fixpoint on the dense copy `sub` of `view`'s alive region
+/// (masks translated in through the id maps) and applies the deaths back.
+fn resume_compacted<V: PruneView>(
+    view: &mut V,
+    sub: &InducedSubgraph,
+    ctx: &FixpointCtx<'_>,
+    carry: Carryover,
+    round: usize,
+    stats: &mut ExtractionStats,
+) {
+    stats.compactions += 1;
+    let removable = ctx.removable;
+    let user_mask: Option<Vec<bool>> = removable
+        .users
+        .map(|m| sub.user_map.iter().map(|p| m[p.index()]).collect());
+    let item_mask: Option<Vec<bool>> = removable
+        .items
+        .map(|m| sub.item_map.iter().map(|p| m[p.index()]).collect());
+    let local_ctx = FixpointCtx {
+        removable: Removable {
+            users: user_mask.as_deref(),
+            items: item_mask.as_deref(),
+        },
+        ..*ctx
     };
     let mut local = GraphView::full(&sub.graph);
-    run_fixpoint(&mut local, ctx, Some(carry), round, stats);
+    run_fixpoint(&mut local, &local_ctx, Some(carry), round, stats);
     for (li, &parent) in sub.user_map.iter().enumerate() {
         if !local.user_alive(UserId(li as u32)) {
             view.remove_user(parent);
@@ -398,26 +542,14 @@ fn compact_and_recurse(
     }
 }
 
-fn to_local_users(sub: &InducedSubgraph, parents: &[u32]) -> Vec<u32> {
-    parents
-        .iter()
-        .filter_map(|&u| sub.local_user(UserId(u)).map(|l| l.0))
-        .collect()
+fn alive_user_ids<V: PruneView>(view: &V) -> Vec<u32> {
+    let alive = |u: &u32| view.user_alive(UserId(*u));
+    (0..view.num_users() as u32).filter(alive).collect()
 }
 
-fn to_local_items(sub: &InducedSubgraph, parents: &[u32]) -> Vec<u32> {
-    parents
-        .iter()
-        .filter_map(|&v| sub.local_item(ItemId(v)).map(|l| l.0))
-        .collect()
-}
-
-fn alive_user_ids(view: &GraphView<'_>) -> Vec<u32> {
-    view.users().map(|u| u.0).collect()
-}
-
-fn alive_item_ids(view: &GraphView<'_>) -> Vec<u32> {
-    view.items().map(|v| v.0).collect()
+fn alive_item_ids<V: PruneView>(view: &V) -> Vec<u32> {
+    let alive = |v: &u32| view.item_alive(ItemId(*v));
+    (0..view.num_items() as u32).filter(alive).collect()
 }
 
 /// Merges sorted, deduplicated id lists, keeping the invariant.
@@ -434,10 +566,10 @@ fn merge_sorted(into: &mut Vec<u32>, other: &[u32]) {
 ///
 /// Seeded with the given candidate lists; every removal enqueues its
 /// one-hop neighborhood on the opposite side (the only vertices whose live
-/// degree changed). With full alive seeds this visits exactly what the old
-/// whole-range scan visited, minus the vertices that never got dirty.
-fn core_pruning(
-    view: &mut GraphView<'_>,
+/// degree changed). With full alive seeds this visits exactly what a
+/// whole-range scan would visit, minus the vertices that never got dirty.
+fn core_pruning<V: PruneView + Sync>(
+    pv: &mut Pruned<'_, V>,
     ctx: &FixpointCtx<'_>,
     mut users: Vec<u32>,
     mut items: Vec<u32>,
@@ -445,23 +577,21 @@ fn core_pruning(
 ) -> (usize, usize) {
     let user_bound = ctx.params.user_degree_bound();
     let item_bound = ctx.params.item_degree_bound();
+    let removable = ctx.removable;
     let (mut removed_users, mut removed_items) = (0, 0);
     loop {
         let doomed_users: Vec<UserId> = {
-            let view_ref: &GraphView<'_> = view;
+            let view: &V = pv.view;
+            let doomed = |u: &UserId| {
+                view.user_alive(*u) && removable.user(*u) && view.user_degree(*u) < user_bound
+            };
             ctx.pool
                 .run_worklist(
                     &users,
                     || (),
                     |_, chunk| {
-                        chunk
-                            .iter()
-                            .copied()
-                            .map(UserId)
-                            .filter(|&u| {
-                                view_ref.user_alive(u) && view_ref.user_degree(u) < user_bound
-                            })
-                            .collect::<Vec<UserId>>()
+                        let ids = chunk.iter().copied().map(UserId);
+                        ids.filter(doomed).collect::<Vec<UserId>>()
                     },
                 )
                 .into_iter()
@@ -469,28 +599,25 @@ fn core_pruning(
                 .collect()
         };
         for &u in &doomed_users {
-            view.remove_user(u);
+            pv.remove_user(u);
         }
         merge_sorted(
             &mut items,
-            &frontier::core_dirty_items(view, &doomed_users, fscratch),
+            &frontier::core_dirty_items(pv.view, &doomed_users, fscratch),
         );
 
         let doomed_items: Vec<ItemId> = {
-            let view_ref: &GraphView<'_> = view;
+            let view: &V = pv.view;
+            let doomed = |v: &ItemId| {
+                view.item_alive(*v) && removable.item(*v) && view.item_degree(*v) < item_bound
+            };
             ctx.pool
                 .run_worklist(
                     &items,
                     || (),
                     |_, chunk| {
-                        chunk
-                            .iter()
-                            .copied()
-                            .map(ItemId)
-                            .filter(|&v| {
-                                view_ref.item_alive(v) && view_ref.item_degree(v) < item_bound
-                            })
-                            .collect::<Vec<ItemId>>()
+                        let ids = chunk.iter().copied().map(ItemId);
+                        ids.filter(doomed).collect::<Vec<ItemId>>()
                     },
                 )
                 .into_iter()
@@ -498,14 +625,14 @@ fn core_pruning(
                 .collect()
         };
         for &v in &doomed_items {
-            view.remove_item(v);
+            pv.remove_item(v);
         }
         removed_users += doomed_users.len();
         removed_items += doomed_items.len();
         if doomed_users.is_empty() && doomed_items.is_empty() {
             return (removed_users, removed_items);
         }
-        users = frontier::core_dirty_users(view, &doomed_items, fscratch);
+        users = frontier::core_dirty_users(pv.view, &doomed_items, fscratch);
         items.clear();
     }
 }
@@ -514,8 +641,8 @@ fn core_pruning(
 /// when its own degree meets the bound (Definition 4 quantifies over all of
 /// `U(C)`, so a perfect k₁×k₂ biclique member counts itself — excluding self
 /// with the same `< k₁` test would wrongly prune exact bicliques).
-fn user_neighbor_count(
-    view: &GraphView<'_>,
+fn user_neighbor_count<V: PruneView>(
+    view: &V,
     u: UserId,
     bound: u32,
     scratch: &mut CommonNeighborScratch,
@@ -530,8 +657,8 @@ fn user_neighbor_count(
 }
 
 /// Item-side analogue of [`user_neighbor_count`].
-fn item_neighbor_count(
-    view: &GraphView<'_>,
+fn item_neighbor_count<V: PruneView>(
+    view: &V,
     v: ItemId,
     bound: u32,
     scratch: &mut CommonNeighborScratch,
@@ -548,8 +675,8 @@ fn item_neighbor_count(
 /// One SquarePruning user pass: derive the worklist (full or dirty), record
 /// delta stats, advance the pass mark, check and remove.
 #[allow(clippy::too_many_arguments)]
-fn square_user_round(
-    view: &mut GraphView<'_>,
+fn square_user_round<V: PruneView + Sync>(
+    pv: &mut Pruned<'_, V>,
     ctx: &FixpointCtx<'_>,
     full: bool,
     mark: &mut LogMark,
@@ -557,33 +684,32 @@ fn square_user_round(
     fscratch: &mut FrontierScratch,
     scratch_pool: &ScratchPool,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     stats: &mut ExtractionStats,
 ) -> usize {
     let worklist: Vec<u32> = if full {
-        alive_user_ids(view)
+        alive_user_ids(pv.view)
     } else {
         let mut wl = {
-            let (ru, ri) = view.removed_since(*mark);
-            frontier::square_dirty_users(view, ru, ri, fscratch)
+            let (ru, ri) = pv.since(*mark);
+            frontier::square_dirty_users(pv.view, ru, ri, fscratch)
         };
         if let Some(c) = carry {
             merge_sorted(&mut wl, c);
         }
         stats.dirty_users += wl.len();
-        stats.skipped_users += view.alive_users().saturating_sub(wl.len());
+        stats.skipped_users += pv.view.alive_users().saturating_sub(wl.len());
         wl
     };
     // Mark *before* the pass: its own removals (applied below) belong to the
     // next frontier.
-    *mark = view.log_mark();
-    square_user_pass(view, ctx, &worklist, scratch_pool, hubs, policy, stats)
+    *mark = pv.mark();
+    square_user_pass(pv, ctx, &worklist, scratch_pool, hubs, stats)
 }
 
 /// Item-side analogue of [`square_user_round`].
 #[allow(clippy::too_many_arguments)]
-fn square_item_round(
-    view: &mut GraphView<'_>,
+fn square_item_round<V: PruneView + Sync>(
+    pv: &mut Pruned<'_, V>,
     ctx: &FixpointCtx<'_>,
     full: bool,
     mark: &mut LogMark,
@@ -591,25 +717,24 @@ fn square_item_round(
     fscratch: &mut FrontierScratch,
     scratch_pool: &ScratchPool,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     stats: &mut ExtractionStats,
 ) -> usize {
     let worklist: Vec<u32> = if full {
-        alive_item_ids(view)
+        alive_item_ids(pv.view)
     } else {
         let mut wl = {
-            let (ru, ri) = view.removed_since(*mark);
-            frontier::square_dirty_items(view, ru, ri, fscratch)
+            let (ru, ri) = pv.since(*mark);
+            frontier::square_dirty_items(pv.view, ru, ri, fscratch)
         };
         if let Some(c) = carry {
             merge_sorted(&mut wl, c);
         }
         stats.dirty_items += wl.len();
-        stats.skipped_items += view.alive_items().saturating_sub(wl.len());
+        stats.skipped_items += pv.view.alive_items().saturating_sub(wl.len());
         wl
     };
-    *mark = view.log_mark();
-    square_item_pass(view, ctx, &worklist, scratch_pool, hubs, policy, stats)
+    *mark = pv.mark();
+    square_item_pass(pv, ctx, &worklist, scratch_pool, hubs, stats)
 }
 
 /// Lemma 2 user check over a worklist; decisions against the pass-start
@@ -622,13 +747,12 @@ fn square_item_round(
 /// early exit, against the same snapshot, so the removal set per round is
 /// unchanged. SequentialOrdered keeps the literal full-count pseudocode as
 /// the differential reference.
-fn square_user_pass(
-    view: &mut GraphView<'_>,
+fn square_user_pass<V: PruneView + Sync>(
+    pv: &mut Pruned<'_, V>,
     ctx: &FixpointCtx<'_>,
     worklist: &[u32],
     scratch_pool: &ScratchPool,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     stats: &mut ExtractionStats,
 ) -> usize {
     if worklist.is_empty() {
@@ -636,10 +760,11 @@ fn square_user_pass(
     }
     let bound = ctx.params.user_common_bound();
     let k1 = ctx.params.k1;
+    let removable = ctx.removable;
     match ctx.strategy {
         SquareStrategy::Parallel => {
             let results: Vec<(Vec<UserId>, KernelTally)> = {
-                let view_ref: &GraphView<'_> = view;
+                let view: &V = pv.view;
                 ctx.pool.run_worklist(
                     worklist,
                     || scratch_pool.lease(),
@@ -649,13 +774,13 @@ fn square_user_pass(
                         let mut tally = KernelTally::default();
                         for &u in chunk {
                             let u = UserId(u);
-                            if !view_ref.user_alive(u) {
+                            if !view.user_alive(u) || !removable.user(u) {
                                 continue;
                             }
-                            let selfq = usize::from(view_ref.user_degree(u) as u32 >= bound);
+                            let selfq = usize::from(view.user_degree(u) as u32 >= bound);
                             let need = k1.saturating_sub(selfq);
                             if !kernel::user_survives(
-                                view_ref, hubs, policy, u, bound, need, scratch, &mut tally,
+                                view, hubs, u, bound, need, scratch, &mut tally,
                             ) {
                                 doomed.push(u);
                             }
@@ -669,7 +794,7 @@ fn square_user_pass(
                 stats.absorb_kernels(tally);
                 removed += doomed.len();
                 for u in doomed {
-                    view.remove_user(u);
+                    pv.remove_user(u);
                 }
             }
             removed
@@ -681,18 +806,18 @@ fn square_user_pass(
                 .iter()
                 .map(|&u| {
                     let u = UserId(u);
-                    (twohop::user_two_hop_size(view, u, scratch), u)
+                    (twohop::user_two_hop_size(pv.view, u, scratch), u)
                 })
                 .collect();
             order.sort_unstable();
             let mut removed = 0;
             for (_, u) in order {
-                if !view.user_alive(u) {
+                if !pv.view.user_alive(u) || !removable.user(u) {
                     continue;
                 }
                 stats.kernel_wedge += 1;
-                if user_neighbor_count(view, u, bound, scratch) < k1 {
-                    view.remove_user(u);
+                if user_neighbor_count(pv.view, u, bound, scratch) < k1 {
+                    pv.remove_user(u);
                     removed += 1;
                 }
             }
@@ -702,13 +827,12 @@ fn square_user_pass(
 }
 
 /// Item-side analogue of [`square_user_pass`].
-fn square_item_pass(
-    view: &mut GraphView<'_>,
+fn square_item_pass<V: PruneView + Sync>(
+    pv: &mut Pruned<'_, V>,
     ctx: &FixpointCtx<'_>,
     worklist: &[u32],
     scratch_pool: &ScratchPool,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     stats: &mut ExtractionStats,
 ) -> usize {
     if worklist.is_empty() {
@@ -716,10 +840,11 @@ fn square_item_pass(
     }
     let bound = ctx.params.item_common_bound();
     let k2 = ctx.params.k2;
+    let removable = ctx.removable;
     match ctx.strategy {
         SquareStrategy::Parallel => {
             let results: Vec<(Vec<ItemId>, KernelTally)> = {
-                let view_ref: &GraphView<'_> = view;
+                let view: &V = pv.view;
                 ctx.pool.run_worklist(
                     worklist,
                     || scratch_pool.lease(),
@@ -729,13 +854,13 @@ fn square_item_pass(
                         let mut tally = KernelTally::default();
                         for &v in chunk {
                             let v = ItemId(v);
-                            if !view_ref.item_alive(v) {
+                            if !view.item_alive(v) || !removable.item(v) {
                                 continue;
                             }
-                            let selfq = usize::from(view_ref.item_degree(v) as u32 >= bound);
+                            let selfq = usize::from(view.item_degree(v) as u32 >= bound);
                             let need = k2.saturating_sub(selfq);
                             if !kernel::item_survives(
-                                view_ref, hubs, policy, v, bound, need, scratch, &mut tally,
+                                view, hubs, v, bound, need, scratch, &mut tally,
                             ) {
                                 doomed.push(v);
                             }
@@ -749,7 +874,7 @@ fn square_item_pass(
                 stats.absorb_kernels(tally);
                 removed += doomed.len();
                 for v in doomed {
-                    view.remove_item(v);
+                    pv.remove_item(v);
                 }
             }
             removed
@@ -761,18 +886,18 @@ fn square_item_pass(
                 .iter()
                 .map(|&v| {
                     let v = ItemId(v);
-                    (twohop::item_two_hop_size(view, v, scratch), v)
+                    (twohop::item_two_hop_size(pv.view, v, scratch), v)
                 })
                 .collect();
             order.sort_unstable();
             let mut removed = 0;
             for (_, v) in order {
-                if !view.item_alive(v) {
+                if !pv.view.item_alive(v) || !removable.item(v) {
                     continue;
                 }
                 stats.kernel_wedge += 1;
-                if item_neighbor_count(view, v, bound, scratch) < k2 {
-                    view.remove_item(v);
+                if item_neighbor_count(pv.view, v, bound, scratch) < k2 {
+                    pv.remove_item(v);
                     removed += 1;
                 }
             }
@@ -781,8 +906,8 @@ fn square_item_pass(
     }
 }
 
-/// A pool of [`KernelScratch`] buffers (wedge counts, sorted-merge buffers,
-/// and the blocked kernel's candidate bitmap) shared across workers, passes,
+/// A pool of [`KernelScratch`] buffers (wedge counts and the blocked
+/// kernel's candidate bitmap) shared across workers, passes,
 /// and rounds: each `O(V)` zeroed allocation is paid at most once per
 /// concurrently-active worker for the whole fixpoint, instead of once per
 /// partition per round — the steady state allocates nothing.
@@ -1160,6 +1285,44 @@ mod tests {
         assert_eq!(delta.alive_sets(), full.alive_sets());
         assert_eq!(delta.alive_users(), 2);
         assert_eq!(delta.alive_items(), 2);
+    }
+
+    /// Masks are indexed by vertex id, and a mid-fixpoint compaction changes
+    /// the ids: the translated masks must pin the same vertices. The compact
+    /// view never compacts, so it is the same run with compaction out of
+    /// reach.
+    #[test]
+    fn masked_run_is_the_same_across_a_compaction() {
+        let g = compaction_world();
+        let p = params(2, 1.0);
+        let pool = WorkerPool::new(2);
+        // Pin one 6-cycle user, one 6-cycle item and one filler user.
+        let mut users = vec![true; g.num_users()];
+        let mut items = vec![true; g.num_items()];
+        users[10] = false;
+        users[100] = false;
+        items[11] = false;
+        let removable = Removable {
+            users: Some(&users),
+            items: Some(&items),
+        };
+        let (strategy, mode) = (SquareStrategy::Parallel, FixpointMode::Delta);
+
+        let mut dense = GraphView::full(&g);
+        let stats = extract_masked(&mut dense, removable, &p, &pool, strategy, mode, None);
+        assert!(stats.compactions >= 1, "the dense run must compact");
+
+        let c = ricd_graph::CompactBigraph::from_graph(&g);
+        let mut compact = ricd_graph::CompactView::full(&c);
+        let stats = extract_masked(&mut compact, removable, &p, &pool, strategy, mode, None);
+        assert_eq!(stats.compactions, 0);
+
+        assert_eq!(dense.alive_sets(), compact.alive_sets());
+        assert!(dense.user_alive(UserId(10)) && dense.user_alive(UserId(100)));
+        assert!(dense.item_alive(ItemId(11)));
+        assert!(!dense.user_alive(UserId(11)), "unpinned cycle user dies");
+        assert_eq!(dense.alive_users(), 2 + 2);
+        assert_eq!(dense.alive_items(), 2 + 1);
     }
 
     #[test]

@@ -1,38 +1,34 @@
 //! Per-anchor survival-kernel dispatch.
 //!
-//! PR 7's lesson was that no single two-hop kernel wins everywhere: the
-//! early-exit wedge counter is optimal for cold and sparse anchors, the
-//! sorted-intersection path for externally-narrowed pair queries, and the
-//! cache-blocked SWAR kernel ([`twohop::blocked_user_has_qualified_neighbors`])
-//! for anchors whose cheap-first item ordering ends in hub adjacency. This
-//! module encodes that lesson as *policy*: one dispatch function per side,
-//! driven by a degree-based cost model ([`KernelPolicy`]) plus the presence
-//! of a [`HubBitmaps`] registry, used identically by `prune_local`, the
-//! reconciliation fixpoint, and the global unsharded `extract` path — so the
-//! three prune paths cannot drift apart in semantics, only in speed.
+//! No single two-hop kernel wins everywhere: the early-exit wedge counter
+//! is optimal for cold and sparse anchors, the cache-blocked SWAR kernel
+//! ([`twohop::blocked_user_has_qualified_neighbors`]) for anchors whose
+//! cheap-first item ordering ends in hub adjacency. One dispatch function
+//! per side picks between them from the anchor's degree and the presence
+//! of a [`HubBitmaps`] registry; the pruning fixpoint
+//! ([`crate::extract`]) is its only caller.
 //!
-//! Every kernel answers the same exact predicate ("does this anchor have
+//! Both kernels answer the same exact predicate ("does this anchor have
 //! ≥ `need` same-side partners sharing ≥ `bound` neighbors?"), proven
-//! equivalent by the three-way differential suites in
+//! equivalent by the differential suites in
 //! `crates/graph/tests/proptest_twohop.rs`; dispatch therefore never
-//! changes a fixpoint, which is what lets `tests/shard_equivalence.rs`
-//! demand byte-identical groups between [`KernelSelection::Auto`] and
-//! [`KernelSelection::WedgeOnly`].
+//! changes a fixpoint, only how many cache lines each query costs.
 
-use crate::params::KernelPolicy;
 use ricd_graph::twohop::{self, HubBitmaps, KernelScratch};
 use ricd_graph::{ItemId, NeighborView, UserId};
 
-/// Which kernels a prune path may dispatch to.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelSelection {
-    /// Per-anchor dispatch over all three kernels (the fast path).
-    #[default]
-    Auto,
-    /// Wedge counting only — the PR 7 behavior, kept selectable so the
-    /// equivalence suites and perf baselines can compare against it.
-    WedgeOnly,
-}
+/// Alive-degree floor for a vertex to get a hub bitmap. Below this, walking
+/// the adjacency list is at most a few cache lines anyway and a bitmap
+/// would only add build cost. Measured with `cargo bench -p ricd-bench
+/// --bench kernels`: with hub coverage the blocked kernel beats the wedge
+/// counter (hub shape, planted biclique); on the sparse tail, where no
+/// vertex clears this floor, it loses — hence dispatch requires a hub.
+pub const HUB_MIN_DEGREE: u32 = 64;
+
+/// Hub bitmaps per side. Bounds registry memory at
+/// `2 · HUB_MAX_COUNT · (V/8)` bytes; the degree distribution is
+/// heavy-tailed, so a few dozen covers the vertices that matter.
+pub const HUB_MAX_COUNT: usize = 64;
 
 /// How many survival queries each kernel answered, accumulated per worker
 /// and merged into the run's [`crate::extract::ExtractionStats`] (exported
@@ -44,33 +40,20 @@ pub struct KernelTally {
     pub wedge: u64,
     /// Queries answered by the blocked SWAR kernel.
     pub blocked: u64,
-    /// Queries answered by the sorted-intersection kernel.
-    pub sorted: u64,
 }
 
-impl KernelTally {
-    /// Folds another tally (e.g. one worker's) into this one.
-    pub fn absorb(&mut self, other: KernelTally) {
-        self.wedge += other.wedge;
-        self.blocked += other.blocked;
-        self.sorted += other.sorted;
-    }
-}
-
-/// Builds the hub registry for a view under `policy`.
-pub(crate) fn build_hubs<V: NeighborView>(view: &V, policy: &KernelPolicy) -> HubBitmaps {
-    HubBitmaps::build(view, policy.hub_min_degree, policy.hub_max_count)
+/// Builds the hub registry for a view.
+pub(crate) fn build_hubs<V: NeighborView>(view: &V) -> HubBitmaps {
+    HubBitmaps::build(view, HUB_MIN_DEGREE, HUB_MAX_COUNT)
 }
 
 /// Dispatched user-side survival test: exactly
 /// [`twohop::user_has_qualified_neighbors`]'s answer, by whichever kernel
-/// the cost model picks for this anchor.
+/// suits this anchor.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn user_survives<V: NeighborView>(
     view: &V,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     u: UserId,
     bound: u32,
     need: usize,
@@ -80,27 +63,16 @@ pub(crate) fn user_survives<V: NeighborView>(
     if need == 0 {
         return true;
     }
-    let deg = view.user_degree(u) as u32;
-    if bound > 0 && deg < bound {
+    if bound > 0 && (view.user_degree(u) as u32) < bound {
         // No partner can share more neighbors than the anchor has; the
         // wedge kernel would conclude the same after its walk.
         tally.wedge += 1;
         return false;
     }
-    if bound > 0 && deg <= policy.sorted_max_anchor_degree {
-        tally.sorted += 1;
-        return twohop::user_has_qualified_neighbors_sorted(
-            view,
-            u,
-            bound,
-            need,
-            scratch.sorted_mut(),
-        );
-    }
     if let Some(h) = hubs {
         // bound < 2 leaves the blocked kernel's closed phase empty — it
         // would be the wedge walk with extra bitmap bookkeeping.
-        if bound >= 2 && deg >= policy.blocked_min_anchor_degree && h.item_hub_count() > 0 {
+        if bound >= 2 && h.item_hub_count() > 0 {
             tally.blocked += 1;
             return twohop::blocked_user_has_qualified_neighbors(view, h, u, bound, need, scratch);
         }
@@ -111,11 +83,9 @@ pub(crate) fn user_survives<V: NeighborView>(
 
 /// Item-side analogue of [`user_survives`].
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn item_survives<V: NeighborView>(
     view: &V,
     hubs: Option<&HubBitmaps>,
-    policy: &KernelPolicy,
     v: ItemId,
     bound: u32,
     need: usize,
@@ -125,23 +95,12 @@ pub(crate) fn item_survives<V: NeighborView>(
     if need == 0 {
         return true;
     }
-    let deg = view.item_degree(v) as u32;
-    if bound > 0 && deg < bound {
+    if bound > 0 && (view.item_degree(v) as u32) < bound {
         tally.wedge += 1;
         return false;
     }
-    if bound > 0 && deg <= policy.sorted_max_anchor_degree {
-        tally.sorted += 1;
-        return twohop::item_has_qualified_neighbors_sorted(
-            view,
-            v,
-            bound,
-            need,
-            scratch.sorted_mut(),
-        );
-    }
     if let Some(h) = hubs {
-        if bound >= 2 && deg >= policy.blocked_min_anchor_degree && h.user_hub_count() > 0 {
+        if bound >= 2 && h.user_hub_count() > 0 {
             tally.blocked += 1;
             return twohop::blocked_item_has_qualified_neighbors(view, h, v, bound, need, scratch);
         }
@@ -155,7 +114,7 @@ mod tests {
     use super::*;
     use ricd_graph::{GraphBuilder, GraphView};
 
-    /// A hot item (degree ≥ hub floor) glued onto a dense block, so Auto
+    /// A hot item (degree ≥ hub floor) glued onto a dense block, so
     /// dispatch exercises both the wedge and blocked kernels.
     fn hub_world() -> ricd_graph::BipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -174,11 +133,7 @@ mod tests {
     fn dispatch_agrees_with_wedge_and_counts_queries() {
         let g = hub_world();
         let view = GraphView::full(&g);
-        let policy = KernelPolicy {
-            hub_min_degree: 8,
-            ..KernelPolicy::default()
-        };
-        let hubs = build_hubs(&view, &policy);
+        let hubs = build_hubs(&view);
         assert!(hubs.item_hub_count() > 0, "hot item must be a hub");
         let mut ks = KernelScratch::new(g.num_users());
         let mut wedge = ricd_graph::CommonNeighborScratch::new(g.num_users());
@@ -187,16 +142,7 @@ mod tests {
             for bound in 0..6u32 {
                 for need in 0..4usize {
                     assert_eq!(
-                        user_survives(
-                            &view,
-                            Some(&hubs),
-                            &policy,
-                            u,
-                            bound,
-                            need,
-                            &mut ks,
-                            &mut tally
-                        ),
+                        user_survives(&view, Some(&hubs), u, bound, need, &mut ks, &mut tally),
                         twohop::user_has_qualified_neighbors(&view, u, bound, need, &mut wedge),
                         "u={u:?} bound={bound} need={need}"
                     );
@@ -205,27 +151,8 @@ mod tests {
         }
         assert!(tally.blocked > 0, "hub anchors must dispatch blocked");
         assert!(tally.wedge > 0, "bound<2 queries stay on the wedge kernel");
-        assert_eq!(tally.sorted, 0, "sorted disabled by default policy");
         // need == 0 trivia are not kernel invocations; everything else is.
         let queries = (g.num_users() as u64) * 6 * 3;
-        assert_eq!(tally.wedge + tally.blocked + tally.sorted, queries);
-    }
-
-    #[test]
-    fn sorted_dispatch_respects_policy_threshold() {
-        let g = hub_world();
-        let view = GraphView::full(&g);
-        let policy = KernelPolicy {
-            sorted_max_anchor_degree: 1,
-            ..KernelPolicy::default()
-        };
-        let mut ks = KernelScratch::new(g.num_users());
-        let mut tally = KernelTally::default();
-        // Degree-1 hub riders route to sorted under this policy.
-        for u in (6..80u32).map(UserId) {
-            user_survives(&view, None, &policy, u, 1, 1, &mut ks, &mut tally);
-        }
-        assert_eq!(tally.sorted, 74);
-        assert_eq!(tally.wedge, 0);
+        assert_eq!(tally.wedge + tally.blocked, queries);
     }
 }

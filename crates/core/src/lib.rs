@@ -55,8 +55,7 @@ pub mod temporal;
 pub mod thresholds;
 
 pub use budget::{BudgetClock, RunBudget};
-pub use kernel::{KernelSelection, KernelTally};
-pub use params::{KernelPolicy, ParamsMode, RicdParams, ScreeningMode};
+pub use params::{ParamsMode, RicdParams, ScreeningMode};
 pub use pipeline::RicdPipeline;
 pub use result::{DetectionResult, RunStatus, SuspiciousGroup};
 pub use riskview::{RiskVerdict, RiskView};
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use crate::budget::RunBudget;
     pub use crate::identify::{FeedbackConfig, FeedbackLoop};
     pub use crate::incremental::{BatchStats, Checkpoint, StreamingDetector};
-    pub use crate::kernel::KernelSelection;
     pub use crate::naive::{naive_detect, NaiveParams};
     pub use crate::params::{ParamsMode, RicdParams, ScreeningMode};
     pub use crate::pipeline::RicdPipeline;

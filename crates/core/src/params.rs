@@ -176,75 +176,9 @@ impl RicdParams {
     }
 }
 
-/// Thresholds for the per-anchor survival-kernel dispatch
-/// ([`crate::kernel`]): which two-hop kernel answers each SquarePruning
-/// survival query. Kept separate from [`RicdParams`] — these knobs tune
-/// *how fast* the fixpoint runs, never *what* it computes, and the params
-/// struct is serialized into run artifacts whose format should not churn
-/// with engine tuning.
-///
-/// Defaults are taken from `crates/bench/benches/kernels.rs`
-/// (`cargo bench -p ricd-bench --bench kernels`), not folklore; the
-/// committed numbers are summarized in DESIGN.md §"Wedge kernel
-/// selection". Headlines from the bench host: on the hub shape (organic
-/// anchors riding hot items, candidate mass huge but unqualified) the
-/// blocked kernel beats the wedge counter **3.2×** (0.97ms vs 3.09ms per
-/// 64 anchors) and the registry build amortizes in well under one wedge
-/// pass (~128µs); on the planted biclique it wins **1.6×**; on the sparse
-/// tail — where no vertex clears `hub_min_degree` and the closed phase
-/// must stream adjacency instead of ANDing bitmaps — blocked *loses*
-/// ~1.4× (296µs vs 203µs), which is exactly why the dispatcher requires
-/// hub coverage before leaving the wedge counter. The sorted-intersection
-/// kernel loses the one-to-all survival query everywhere it cannot
-/// early-exit (~6× on sparse, ~14× on hub vs wedge and ~44× vs blocked,
-/// since it pays Θ(deg) per candidate where the others pay O(1) per
-/// wedge) — which is why it stays reserved for externally-narrowed pair
-/// queries unless explicitly enabled here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelPolicy {
-    /// Alive-degree floor for a vertex to get a hub bitmap. Below this,
-    /// walking the adjacency list is at most a few cache lines anyway and
-    /// a bitmap would only add build cost.
-    pub hub_min_degree: u32,
-    /// Hub bitmaps per side. Bounds registry memory at
-    /// `2 · hub_max_count · (V/8)` bytes; the degree distribution is
-    /// heavy-tailed, so a few dozen covers the vertices that matter.
-    pub hub_max_count: usize,
-    /// Anchors with alive degree below this keep the plain wedge counter
-    /// even when hubs exist (at tiny degree the closed phase is empty or
-    /// trivial). 0 = always dispatch to blocked when a registry exists.
-    pub blocked_min_anchor_degree: u32,
-    /// Anchors with alive degree at or below this use the
-    /// sorted-intersection kernel. 0 disables sorted dispatch entirely
-    /// (the bench shows it losing the survival query at every degree).
-    pub sorted_max_anchor_degree: u32,
-}
-
-impl Default for KernelPolicy {
-    fn default() -> Self {
-        Self {
-            hub_min_degree: 64,
-            hub_max_count: 64,
-            blocked_min_anchor_degree: 0,
-            sorted_max_anchor_degree: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_policy_defaults_are_sane() {
-        let p = KernelPolicy::default();
-        assert!(p.hub_min_degree >= 1);
-        assert!(p.hub_max_count >= 1);
-        assert_eq!(
-            p.sorted_max_anchor_degree, 0,
-            "sorted stays a pair-query kernel by default"
-        );
-    }
 
     #[test]
     fn defaults_match_paper() {

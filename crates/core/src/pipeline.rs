@@ -329,8 +329,6 @@ impl RicdPipeline {
         self.metrics
             .inc_by("extract.kernel_blocked", detected.stats.kernel_blocked);
         self.metrics
-            .inc_by("extract.kernel_sorted", detected.stats.kernel_sorted);
-        self.metrics
             .gauge("twohop.hub_bitmap_bytes")
             .set(detected.stats.hub_bitmap_bytes as i64);
         self.metrics
@@ -777,7 +775,6 @@ mod tests {
             "extract.compactions",
             "extract.kernel_wedge",
             "extract.kernel_blocked",
-            "extract.kernel_sorted",
         ] {
             assert!(snap.counter(name).is_some(), "missing {name}");
         }
@@ -874,12 +871,10 @@ mod tests {
             ShardConfig {
                 shards: None,
                 max_users: Some(4),
-                ..Default::default()
             },
             ShardConfig {
                 shards: Some(16),
                 max_users: None,
-                ..Default::default()
             },
         ] {
             let got = RicdPipeline::new(RicdParams::default()).run_sharded(&g, &cfg);
@@ -900,7 +895,6 @@ mod tests {
                 &ShardConfig {
                     shards: None,
                     max_users: Some(4),
-                    ..Default::default()
                 },
             );
         assert_eq!(r.status, RunStatus::Complete);

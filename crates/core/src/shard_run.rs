@@ -1,11 +1,15 @@
 //! The sharded detection runtime.
 //!
 //! Runs Algorithm 2/3 as a fan-out over the shard plan of
-//! [`ricd_graph::shard`]: a sequential degree **pre-filter**, the planner's
-//! component/hash decomposition, one *local* pruning fixpoint per shard on
-//! the worker pool (each shard a coarse task with the PR 1 panic-isolation
-//! contract), a **reconciliation** pass over the hash-split giants, and a
-//! merge that reconstitutes the exact unsharded group output.
+//! [`ricd_graph::shard`]: sound pre-removals, then the same
+//! [`crate::extract`] fixpoint the unsharded path runs. A Lemma-1
+//! **pre-filter** (CorePruning alone) collapses the organic long tail
+//! before planning; the planner's component/hash decomposition yields one
+//! *local* fixpoint per shard on the worker pool (each shard a coarse task
+//! with the pool's panic-isolation contract, pruning a compact view
+//! inline); a **reconciliation** fixpoint on the parent view finishes the
+//! hash-split giants; and the survivors are split into groups exactly as
+//! the unsharded path splits them.
 //!
 //! # Why the result is exactly the unsharded one
 //!
@@ -22,45 +26,26 @@
 //!   the global one there (bicliques cannot span components);
 //! * hash shards — owned users and interior items have **exact** local
 //!   counts (boundary replication + halo, see `ricd_graph::shard`);
-//!   boundary items and halo users are pinned and never removed locally;
-//! * reconciliation — a full local fixpoint over what survives of the
-//!   giant components, which by uniqueness lands on the global fixpoint.
+//!   boundary items and halo users are pinned through the fixpoint's
+//!   [`Removable`] masks and never removed locally;
+//! * reconciliation — the fixpoint on what is left of the parent view,
+//!   which by uniqueness lands on the global fixpoint.
 //!
 //! Since all removals are sound and the final pass runs the real rules to
 //! convergence, the surviving vertex set — and therefore the component
 //! split, the groups, and every downstream risk score — is identical to
 //! the unsharded run. The differential proptests and the
 //! `shard_equivalence` integration test enforce this end to end.
-//!
-//! # Why it is faster
-//!
-//! Beyond running shards concurrently on the pool, every square-pruning
-//! check goes through the per-anchor kernel dispatch of [`crate::kernel`]:
-//! cold and sparse anchors use the early-exit wedge survival test
-//! ([`ricd_graph::twohop::user_has_qualified_neighbors`]) — proving a dense
-//! survivor *keeps* its `k` qualified partners needs only a prefix of its
-//! wedge scan, cheapest adjacency lists first — while anchors whose
-//! cheap-first ordering ends in registered hot vertices hand that hot
-//! suffix to the blocked SWAR kernel
-//! ([`ricd_graph::twohop::blocked_user_has_qualified_neighbors`]), which
-//! replaces the per-wedge hash-free counter walk over an ultra-popular
-//! adjacency list with 64-way `AND`+popcount words against the
-//! [`ricd_graph::twohop::HubBitmaps`] registry. Dispatch never changes an
-//! answer (the kernels are differentially proven equivalent), so it never
-//! changes a fixpoint — only how many cache lines each query costs.
 
-use crate::detect::{DetectedGroups, Seeds};
-use crate::extract::ExtractionStats;
-use crate::kernel::{self, KernelSelection, KernelTally};
-use crate::params::{KernelPolicy, RicdParams};
-use crate::result::SuspiciousGroup;
-use ricd_engine::{EngineError, WorkerPool};
-use ricd_graph::components::connected_components;
-use ricd_graph::shard::{plan_shards, Shard, ShardOptions};
-use ricd_graph::twohop::{HubBitmaps, KernelScratch};
-use ricd_graph::{
-    BipartiteGraph, CompactSubgraph, CompactView, GraphView, ItemId, NeighborView, UserId,
+use crate::detect::{surviving_groups, DetectedGroups, Seeds};
+use crate::extract::{
+    core_prune, extract_masked, extract_with, ExtractionStats, FixpointMode, Removable,
+    SquareStrategy,
 };
+use crate::params::RicdParams;
+use ricd_engine::{EngineError, WorkerPool};
+use ricd_graph::shard::{plan_shards, Shard, ShardOptions};
+use ricd_graph::{BipartiteGraph, CompactSubgraph, CompactView, ItemId, NeighborView, UserId};
 use ricd_obs::MetricsRegistry;
 
 /// Sharding knobs for [`detect_groups_sharded`] /
@@ -74,11 +59,6 @@ pub struct ShardConfig {
     pub shards: Option<usize>,
     /// Explicit per-shard owned-user cap; overrides `shards` when set.
     pub max_users: Option<usize>,
-    /// Which survival kernels the local fixpoints may dispatch to.
-    /// [`KernelSelection::Auto`] (default) enables the per-anchor cost
-    /// model; [`KernelSelection::WedgeOnly`] pins the PR 7 wedge counter
-    /// for equivalence baselines and perf comparisons.
-    pub kernel: KernelSelection,
 }
 
 impl ShardConfig {
@@ -115,229 +95,9 @@ enum ShardOutcome {
     Done {
         removed_users: Vec<UserId>,
         removed_items: Vec<ItemId>,
-        stats: LocalPruneStats,
+        stats: ExtractionStats,
     },
     DeadlineExceeded,
-}
-
-/// Sequential worklist core pre-filter: Lemma 1 degree bounds iterated to
-/// a fixpoint, `O(E)` amortized. This is what collapses the organic long
-/// tail *before* planning, so shards carve up only the structure-bearing
-/// survivors.
-fn core_prefilter(view: &mut GraphView<'_>, params: &RicdParams) -> (usize, usize) {
-    let user_bound = params.user_degree_bound();
-    let item_bound = params.item_degree_bound();
-    let mut user_queue: Vec<UserId> = view
-        .users()
-        .filter(|&u| view.user_degree(u) < user_bound)
-        .collect();
-    let mut item_queue: Vec<ItemId> = view
-        .items()
-        .filter(|&v| view.item_degree(v) < item_bound)
-        .collect();
-    let (mut ru, mut ri) = (0usize, 0usize);
-    while !user_queue.is_empty() || !item_queue.is_empty() {
-        let mut next_items: Vec<ItemId> = Vec::new();
-        for u in user_queue.drain(..) {
-            if !view.user_alive(u) {
-                continue;
-            }
-            // Neighbors collected before the removal mutates the view.
-            let neighbors: Vec<ItemId> = view.user_neighbors(u).map(|(v, _)| v).collect();
-            view.remove_user(u);
-            ru += 1;
-            for v in neighbors {
-                if view.item_degree(v) < item_bound {
-                    next_items.push(v);
-                }
-            }
-        }
-        item_queue.append(&mut next_items);
-        let mut next_users: Vec<UserId> = Vec::new();
-        for v in item_queue.drain(..) {
-            if !view.item_alive(v) {
-                continue;
-            }
-            let neighbors: Vec<UserId> = view.item_neighbors(v).map(|(u, _)| u).collect();
-            view.remove_item(v);
-            ri += 1;
-            for u in neighbors {
-                if view.user_degree(u) < user_bound {
-                    next_users.push(u);
-                }
-            }
-        }
-        user_queue.append(&mut next_users);
-    }
-    (ru, ri)
-}
-
-/// Counters from one local fixpoint.
-#[derive(Clone, Copy, Debug, Default)]
-struct LocalPruneStats {
-    core_removed_users: usize,
-    core_removed_items: usize,
-    square_removed_users: usize,
-    square_removed_items: usize,
-    rounds: usize,
-    /// Survival queries per kernel, for the `extract.kernel_*` counters.
-    kernels: KernelTally,
-    /// Bytes of the hub-bitmap registry this fixpoint built (0 when the
-    /// kernel selection or the degree distribution yields no hubs).
-    hub_bitmap_bytes: usize,
-}
-
-/// What [`prune_local`] needs on top of [`NeighborView`]: removals. Both
-/// the dense [`GraphView`] and the compact [`CompactView`] satisfy it, so
-/// the same fixpoint runs on either representation — which is exactly what
-/// the differential suites compare.
-trait PruneView: NeighborView {
-    fn remove_user(&mut self, u: UserId);
-    fn remove_item(&mut self, v: ItemId);
-}
-
-impl PruneView for GraphView<'_> {
-    fn remove_user(&mut self, u: UserId) {
-        GraphView::remove_user(self, u);
-    }
-    fn remove_item(&mut self, v: ItemId) {
-        GraphView::remove_item(self, v);
-    }
-}
-
-impl PruneView for CompactView<'_> {
-    fn remove_user(&mut self, u: UserId) {
-        CompactView::remove_user(self, u);
-    }
-    fn remove_item(&mut self, v: ItemId) {
-        CompactView::remove_item(self, v);
-    }
-}
-
-/// The local pruning fixpoint: core + square pruning restricted to
-/// removable vertices (`None` mask = everything), run to convergence.
-///
-/// For hash shards, boundary items and halo users are pinned via the
-/// masks; every local removal is then globally sound (module docs). For
-/// exact shards and reconciliation the masks are `None` and this computes
-/// the true fixpoint of the local graph. Each square test goes through the
-/// per-anchor kernel dispatch of [`crate::kernel`], monomorphized over the
-/// view: cold and sparse anchors keep the early-exit wedge counter (O(1)
-/// per wedge, scratch counters cache-resident in the renumbered compact id
-/// space), while anchors whose adjacency ends in registered hubs switch to
-/// the blocked SWAR kernel. The hub registry is built **once**, after the
-/// first CorePruning fixpoint (when the cheap degree rules have already
-/// collapsed the long tail): removals are monotone for the rest of the
-/// fixpoint, so the alive-at-build snapshot stays a superset of every
-/// later candidate set and the stale bitmaps keep answering exactly
-/// (`twohop::HubBitmaps` staleness contract).
-fn prune_local<V: PruneView>(
-    view: &mut V,
-    removable_user: Option<&[bool]>,
-    removable_item: Option<&[bool]>,
-    params: &RicdParams,
-    kernel_sel: KernelSelection,
-) -> LocalPruneStats {
-    let num_users = view.num_users();
-    let num_items = view.num_items();
-    let user_bound = params.user_degree_bound();
-    let item_bound = params.item_degree_bound();
-    let user_common = params.user_common_bound();
-    let item_common = params.item_common_bound();
-    let can_remove_user = |i: usize| removable_user.is_none_or(|m| m[i]);
-    let can_remove_item = |i: usize| removable_item.is_none_or(|m| m[i]);
-    let mut uscratch = KernelScratch::new(num_users);
-    let mut iscratch = KernelScratch::new(num_items);
-    let policy = KernelPolicy::default();
-    // `None` under WedgeOnly: the dispatcher without a registry (and with
-    // sorted disabled by the default policy) *is* the wedge kernel.
-    let mut hubs: Option<HubBitmaps> = None;
-    let mut stats = LocalPruneStats::default();
-
-    loop {
-        stats.rounds += 1;
-        // CorePruning over removable vertices, to its own fixpoint.
-        loop {
-            let mut removed = 0;
-            for u in (0..num_users as u32).map(UserId) {
-                if can_remove_user(u.index())
-                    && view.user_alive(u)
-                    && view.user_degree(u) < user_bound
-                {
-                    view.remove_user(u);
-                    removed += 1;
-                    stats.core_removed_users += 1;
-                }
-            }
-            for v in (0..num_items as u32).map(ItemId) {
-                if can_remove_item(v.index())
-                    && view.item_alive(v)
-                    && view.item_degree(v) < item_bound
-                {
-                    view.remove_item(v);
-                    removed += 1;
-                    stats.core_removed_items += 1;
-                }
-            }
-            if removed == 0 {
-                break;
-            }
-        }
-        if stats.rounds == 1 && matches!(kernel_sel, KernelSelection::Auto) {
-            let h = kernel::build_hubs(view, &policy);
-            stats.hub_bitmap_bytes = h.heap_bytes();
-            hubs = Some(h);
-        }
-        // SquarePruning over removable vertices; immediate removals are
-        // sound (monotonicity), and order does not affect the fixpoint.
-        let mut square_removed = 0;
-        for u in (0..num_users as u32).map(UserId) {
-            if !can_remove_user(u.index()) || !view.user_alive(u) {
-                continue;
-            }
-            // Definition 4 counts `u` itself when deg(u) clears the bound.
-            let selfq = usize::from(view.user_degree(u) as u32 >= user_common);
-            let need = params.k1.saturating_sub(selfq);
-            if !kernel::user_survives(
-                view,
-                hubs.as_ref(),
-                &policy,
-                u,
-                user_common,
-                need,
-                &mut uscratch,
-                &mut stats.kernels,
-            ) {
-                view.remove_user(u);
-                square_removed += 1;
-                stats.square_removed_users += 1;
-            }
-        }
-        for v in (0..num_items as u32).map(ItemId) {
-            if !can_remove_item(v.index()) || !view.item_alive(v) {
-                continue;
-            }
-            let selfq = usize::from(view.item_degree(v) as u32 >= item_common);
-            let need = params.k2.saturating_sub(selfq);
-            if !kernel::item_survives(
-                view,
-                hubs.as_ref(),
-                &policy,
-                v,
-                item_common,
-                need,
-                &mut iscratch,
-                &mut stats.kernels,
-            ) {
-                view.remove_item(v);
-                square_removed += 1;
-                stats.square_removed_items += 1;
-            }
-        }
-        if square_removed == 0 {
-            return stats;
-        }
-    }
 }
 
 /// Marks which local vertices a hash shard may remove: owned users and
@@ -360,14 +120,13 @@ fn hash_shard_permissions(
 
 /// One shard task: build the **compact** local subgraph (delta-encoded
 /// adjacency, no click weights — the pruning rules never read them) and
-/// run its local fixpoint over alive bitmaps. Exact shards prune
+/// run the fixpoint on it, inline on this pool thread. Exact shards prune
 /// everything; hash shards pin boundary items and halo users.
 fn process_shard(
     g: &BipartiteGraph,
     shard: &Shard,
     params: &RicdParams,
-    kernel_sel: KernelSelection,
-) -> (Vec<UserId>, Vec<ItemId>, LocalPruneStats) {
+) -> (Vec<UserId>, Vec<ItemId>, ExtractionStats) {
     let (sub, owned, interior) = if shard.exact {
         let sub =
             CompactSubgraph::extract(g, shard.users.iter().copied(), shard.items.iter().copied());
@@ -379,27 +138,28 @@ fn process_shard(
         (sub, Some(owned), Some(interior))
     };
     let mut view = CompactView::full(&sub.graph);
-    let stats = prune_local(
+    let removable = Removable {
+        users: owned.as_deref(),
+        items: interior.as_deref(),
+    };
+    let stats = extract_masked(
         &mut view,
-        owned.as_deref(),
-        interior.as_deref(),
+        removable,
         params,
-        kernel_sel,
+        &WorkerPool::new(1),
+        SquareStrategy::Parallel,
+        FixpointMode::Delta,
+        None,
     );
-    let removed_users = sub
-        .user_map
-        .iter()
-        .enumerate()
-        .filter(|&(l, _)| owned.as_ref().is_none_or(|m| m[l]) && !view.user_alive(UserId(l as u32)))
+    // Pinned vertices are never removed, so "dead" alone selects removals.
+    let dead_users = (0u32..).zip(&sub.user_map);
+    let dead_items = (0u32..).zip(&sub.item_map);
+    let removed_users = dead_users
+        .filter(|&(l, _)| !view.user_alive(UserId(l)))
         .map(|(_, &p)| p)
         .collect();
-    let removed_items = sub
-        .item_map
-        .iter()
-        .enumerate()
-        .filter(|&(l, _)| {
-            interior.as_ref().is_none_or(|m| m[l]) && !view.item_alive(ItemId(l as u32))
-        })
+    let removed_items = dead_items
+        .filter(|&(l, _)| !view.item_alive(ItemId(l)))
         .map(|(_, &p)| p)
         .collect();
     (removed_users, removed_items, stats)
@@ -424,8 +184,10 @@ pub fn detect_groups_sharded(
     let mut view = crate::detect::starting_view(g, seeds);
     let mut stats = ExtractionStats::default();
 
-    // Phase 0: sequential degree pre-filter.
-    let (pre_users, pre_items) = core_prefilter(&mut view, params);
+    // Phase 0: Lemma-1 pre-filter. This is what collapses the organic long
+    // tail *before* planning, so shards carve up only the structure-bearing
+    // survivors.
+    let (pre_users, pre_items) = core_prune(&mut view, params, pool);
     stats.core_removed_users += pre_users;
     stats.core_removed_items += pre_items;
     if let Some(m) = metrics {
@@ -437,8 +199,7 @@ pub fn detect_groups_sharded(
     }
 
     // Phase timings: one duration histogram per phase, so sharded bench
-    // rows can show where the wall-clock goes (observed in nanoseconds;
-    // BENCH_extract.json sums them per run).
+    // rows can show where the wall-clock goes.
     let phase_clock = |t0: Option<std::time::Duration>, name: &str| {
         if let (Some(m), Some(t0)) = (metrics, t0) {
             m.duration_histogram(name)
@@ -478,7 +239,7 @@ pub fn detect_groups_sharded(
             }
             let shard = &plan.shards[order[slot]];
             let started = shard_hist.as_ref().map(|(m, _)| m.clock().now());
-            let (removed_users, removed_items, stats) = process_shard(g, shard, params, cfg.kernel);
+            let (removed_users, removed_items, stats) = process_shard(g, shard, params);
             if let (Some((m, h)), Some(t0)) = (&shard_hist, started) {
                 h.observe_duration(m.clock().now().saturating_sub(t0));
             }
@@ -498,15 +259,7 @@ pub fn detect_groups_sharded(
                 removed_items,
                 stats: shard_stats,
             } => {
-                stats.rounds = stats.rounds.max(shard_stats.rounds);
-                stats.core_removed_users += shard_stats.core_removed_users;
-                stats.core_removed_items += shard_stats.core_removed_items;
-                stats.square_removed_users += shard_stats.square_removed_users;
-                stats.square_removed_items += shard_stats.square_removed_items;
-                stats.absorb_kernels(shard_stats.kernels);
-                // Max, not sum: registries are per-fixpoint and freed when
-                // it ends, so the gauge reports peak working-set bytes.
-                stats.hub_bitmap_bytes = stats.hub_bitmap_bytes.max(shard_stats.hub_bitmap_bytes);
+                stats.absorb(&shard_stats);
                 for u in removed_users {
                     view.remove_user(u);
                 }
@@ -522,46 +275,25 @@ pub fn detect_groups_sharded(
         return Err(ShardAbort::DeadlineExceeded);
     }
 
-    // Phase 3: reconciliation over the hash-split giants — the local
-    // fixpoint of their survivors, reaching the exact global fixpoint.
+    // Phase 3: reconciliation — the fixpoint on the parent view, whose
+    // alive set is now a superset of the global fixpoint. Exact shards are
+    // already at theirs, so a plan without hash shards skips it.
     let t_recon = phase_start();
     if plan.needs_reconciliation() {
-        let survivors_u = plan
-            .giant_users
-            .iter()
-            .copied()
-            .filter(|&u| view.user_alive(u));
-        let survivors_i = plan
-            .giant_items
-            .iter()
-            .copied()
-            .filter(|&v| view.item_alive(v));
-        let sub = CompactSubgraph::extract(g, survivors_u, survivors_i);
-        let mut local = CompactView::full(&sub.graph);
-        let recon = prune_local(&mut local, None, None, params, cfg.kernel);
-        stats.rounds += recon.rounds;
-        stats.core_removed_users += recon.core_removed_users;
-        stats.core_removed_items += recon.core_removed_items;
-        stats.square_removed_users += recon.square_removed_users;
-        stats.square_removed_items += recon.square_removed_items;
-        stats.absorb_kernels(recon.kernels);
-        stats.hub_bitmap_bytes = stats.hub_bitmap_bytes.max(recon.hub_bitmap_bytes);
-        let mut reconciled = (0usize, 0usize);
-        for (l, &parent) in sub.user_map.iter().enumerate() {
-            if !local.user_alive(UserId(l as u32)) {
-                view.remove_user(parent);
-                reconciled.0 += 1;
-            }
-        }
-        for (l, &parent) in sub.item_map.iter().enumerate() {
-            if !local.item_alive(ItemId(l as u32)) {
-                view.remove_item(parent);
-                reconciled.1 += 1;
-            }
-        }
+        let recon = extract_with(
+            &mut view,
+            params,
+            pool,
+            SquareStrategy::Parallel,
+            FixpointMode::Delta,
+            metrics,
+        );
+        stats.absorb(&recon);
         if let Some(m) = metrics {
-            m.inc_by("shard.reconcile_users", reconciled.0 as u64);
-            m.inc_by("shard.reconcile_items", reconciled.1 as u64);
+            let users = recon.core_removed_users + recon.square_removed_users;
+            let items = recon.core_removed_items + recon.square_removed_items;
+            m.inc_by("shard.reconcile_users", users as u64);
+            m.inc_by("shard.reconcile_items", items as u64);
         }
     }
     phase_clock(t_recon, "shard.reconcile_nanos");
@@ -569,15 +301,7 @@ pub fn detect_groups_sharded(
     // Phase 4: components + the (k₁, k₂) floor — the same final step as
     // the unsharded path, on a view holding the identical alive set.
     let t_merge = phase_start();
-    let groups: Vec<SuspiciousGroup> = connected_components(&view)
-        .into_iter()
-        .filter(|c| c.users.len() >= params.k1 && c.items.len() >= params.k2)
-        .map(|c| SuspiciousGroup {
-            users: c.users,
-            items: c.items,
-            ridden_hot_items: Vec::new(),
-        })
-        .collect();
+    let groups = surviving_groups(&view, params);
     phase_clock(t_merge, "shard.merge_nanos");
     if let Some(m) = metrics {
         m.inc_by("shard.merged_groups", groups.len() as u64);
@@ -589,8 +313,8 @@ pub fn detect_groups_sharded(
 mod tests {
     use super::*;
     use crate::detect::detect_groups_with;
-    use crate::extract::{FixpointMode, SquareStrategy};
-    use ricd_graph::GraphBuilder;
+    use crate::result::SuspiciousGroup;
+    use ricd_graph::{GraphBuilder, GraphView};
 
     fn never() -> impl Fn() -> bool + Sync {
         || false
@@ -680,7 +404,6 @@ mod tests {
                 ShardConfig {
                     shards: Some(1),
                     max_users: None,
-                    ..Default::default()
                 },
                 1,
             ),
@@ -688,7 +411,6 @@ mod tests {
                 ShardConfig {
                     shards: None,
                     max_users: Some(12),
-                    ..Default::default()
                 },
                 4,
             ),
@@ -696,7 +418,6 @@ mod tests {
                 ShardConfig {
                     shards: None,
                     max_users: Some(5),
-                    ..Default::default()
                 },
                 2,
             ),
@@ -704,7 +425,6 @@ mod tests {
                 ShardConfig {
                     shards: Some(64),
                     max_users: None,
-                    ..Default::default()
                 },
                 4,
             ),
@@ -726,7 +446,6 @@ mod tests {
                 ShardConfig {
                     shards: Some(1),
                     max_users: None,
-                    ..Default::default()
                 },
                 1,
             ),
@@ -734,7 +453,6 @@ mod tests {
                 ShardConfig {
                     shards: None,
                     max_users: Some(5),
-                    ..Default::default()
                 },
                 4,
             ),
@@ -742,7 +460,6 @@ mod tests {
                 ShardConfig {
                     shards: None,
                     max_users: Some(1),
-                    ..Default::default()
                 },
                 2,
             ),
@@ -750,7 +467,6 @@ mod tests {
                 ShardConfig {
                     shards: Some(64),
                     max_users: None,
-                    ..Default::default()
                 },
                 4,
             ),
@@ -772,7 +488,6 @@ mod tests {
             &ShardConfig {
                 shards: None,
                 max_users: Some(4),
-                ..Default::default()
             },
             &never(),
             Some(&registry),
@@ -820,7 +535,6 @@ mod tests {
             &ShardConfig {
                 shards: None,
                 max_users: Some(6),
-                ..Default::default()
             },
             &never(),
             None,
@@ -867,7 +581,7 @@ mod tests {
         let g = glued_world();
         let params = RicdParams::default();
         let mut view = GraphView::full(&g);
-        core_prefilter(&mut view, &params);
+        core_prune(&mut view, &params, &WorkerPool::new(2));
         // Fixpoint check: every survivor meets both degree bounds.
         for u in view.users().collect::<Vec<_>>() {
             assert!(view.user_degree(u) >= params.user_degree_bound());

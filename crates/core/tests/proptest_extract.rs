@@ -1,13 +1,18 @@
 //! Property tests for the (α, k₁, k₂)-extension biclique extraction
 //! (Algorithm 3): the Lemma 1/2 invariants on survivors, planted-structure
-//! completeness, fixpoint idempotence, and strategy agreement.
+//! completeness, fixpoint idempotence, strategy agreement, representation
+//! independence of the generic fixpoint, and the masked-fixpoint property.
 
 use proptest::prelude::*;
-use ricd_core::extract::{extract, SquareStrategy};
+use ricd_core::extract::{
+    extract, extract_masked, extract_with, FixpointMode, Removable, SquareStrategy,
+};
 use ricd_core::params::RicdParams;
 use ricd_engine::WorkerPool;
 use ricd_graph::twohop::{self, CommonNeighborScratch};
-use ricd_graph::{BipartiteGraph, GraphBuilder, GraphView, ItemId, UserId};
+use ricd_graph::{
+    BipartiteGraph, CompactBigraph, CompactView, GraphBuilder, GraphView, ItemId, UserId,
+};
 
 /// Random sparse noise plus an optional planted biclique.
 fn graphs() -> impl Strategy<Value = (BipartiteGraph, Option<usize>)> {
@@ -133,6 +138,85 @@ proptest! {
         }
         for v in strict.items() {
             prop_assert!(loose.item_alive(v));
+        }
+    }
+
+    /// The one generic fixpoint leaves the same alive set on the compact
+    /// view as on the dense one, and both match the literal reference
+    /// (sequential pseudocode, full rescan every round).
+    #[test]
+    fn compact_and_dense_views_reach_the_reference_fixpoint(
+        (g, _) in graphs(),
+        k in 3usize..8,
+        alpha in 0.7f64..=1.0,
+    ) {
+        let p = params(k, alpha);
+        let pool = WorkerPool::new(2);
+        let mut dense = GraphView::full(&g);
+        extract(&mut dense, &p, &pool, SquareStrategy::Parallel);
+        let c = CompactBigraph::from_graph(&g);
+        let mut compact = CompactView::full(&c);
+        extract(&mut compact, &p, &pool, SquareStrategy::Parallel);
+        let mut reference = GraphView::full(&g);
+        extract_with(
+            &mut reference,
+            &p,
+            &WorkerPool::new(1),
+            SquareStrategy::SequentialOrdered,
+            FixpointMode::FullRescan,
+            None,
+        );
+        prop_assert_eq!(compact.alive_sets(), dense.alive_sets());
+        prop_assert_eq!(dense.alive_sets(), reference.alive_sets());
+    }
+
+    /// With removable masks, a pinned vertex is never removed, and every
+    /// removable survivor satisfies both bounds against the final alive set
+    /// (pinned vertices counted as alive) — the masked fixpoint property.
+    #[test]
+    fn masked_fixpoint_pins_and_converges(
+        (g, _) in graphs(),
+        k in 3usize..8,
+        user_bits in proptest::collection::vec(any::<bool>(), 64..65),
+        item_bits in proptest::collection::vec(any::<bool>(), 64..65),
+    ) {
+        let p = params(k, 1.0);
+        let users: Vec<bool> = (0..g.num_users()).map(|i| user_bits[i % 64]).collect();
+        let items: Vec<bool> = (0..g.num_items()).map(|i| item_bits[i % 64]).collect();
+        let removable = Removable { users: Some(&users), items: Some(&items) };
+        let mut view = GraphView::full(&g);
+        extract_masked(
+            &mut view,
+            removable,
+            &p,
+            &WorkerPool::new(2),
+            SquareStrategy::Parallel,
+            FixpointMode::Delta,
+            None,
+        );
+        for u in g.users() {
+            prop_assert!(users[u.index()] || view.user_alive(u), "pinned {u} removed");
+        }
+        for v in g.items() {
+            prop_assert!(items[v.index()] || view.item_alive(v), "pinned {v} removed");
+        }
+        let mut scratch = CommonNeighborScratch::new(g.num_users());
+        for u in view.users().filter(|u| users[u.index()]) {
+            prop_assert!(view.user_degree(u) >= p.user_degree_bound());
+            let mut count = usize::from(view.user_degree(u) as u32 >= p.user_common_bound());
+            twohop::for_each_user_common_neighbor(&view, u, &mut scratch, |_, c| {
+                count += usize::from(c >= p.user_common_bound());
+            });
+            prop_assert!(count >= p.k1, "{u} has {count} qualified neighbors < k1 {}", p.k1);
+        }
+        let mut scratch = CommonNeighborScratch::new(g.num_items());
+        for v in view.items().filter(|v| items[v.index()]) {
+            prop_assert!(view.item_degree(v) >= p.item_degree_bound());
+            let mut count = usize::from(view.item_degree(v) as u32 >= p.item_common_bound());
+            twohop::for_each_item_common_neighbor(&view, v, &mut scratch, |_, c| {
+                count += usize::from(c >= p.item_common_bound());
+            });
+            prop_assert!(count >= p.k2, "{v} has {count} qualified neighbors < k2 {}", p.k2);
         }
     }
 }

@@ -13,7 +13,6 @@
 use proptest::prelude::*;
 use ricd_core::detect::{detect_groups_with, Seeds};
 use ricd_core::extract::{FixpointMode, SquareStrategy};
-use ricd_core::kernel::KernelSelection;
 use ricd_core::params::RicdParams;
 use ricd_core::pipeline::RicdPipeline;
 use ricd_core::result::SuspiciousGroup;
@@ -59,31 +58,17 @@ fn worlds() -> impl Strategy<Value = BipartiteGraph> {
 }
 
 fn shard_configs() -> impl Strategy<Value = ShardConfig> {
-    (0usize..3, 1usize..8, 1usize..40, any::<bool>()).prop_map(
-        |(which, shards, max_users, wedge_only)| {
-            let kernel = if wedge_only {
-                KernelSelection::WedgeOnly
-            } else {
-                KernelSelection::Auto
-            };
-            match which {
-                0 => ShardConfig {
-                    kernel,
-                    ..ShardConfig::default()
-                },
-                1 => ShardConfig {
-                    shards: Some(shards),
-                    max_users: None,
-                    kernel,
-                },
-                _ => ShardConfig {
-                    shards: None,
-                    max_users: Some(max_users),
-                    kernel,
-                },
-            }
+    (0usize..3, 1usize..8, 1usize..40).prop_map(|(which, shards, max_users)| match which {
+        0 => ShardConfig::default(),
+        1 => ShardConfig {
+            shards: Some(shards),
+            max_users: None,
         },
-    )
+        _ => ShardConfig {
+            shards: None,
+            max_users: Some(max_users),
+        },
+    })
 }
 
 fn unsharded_groups(g: &BipartiteGraph, p: &RicdParams) -> Vec<SuspiciousGroup> {
@@ -190,7 +175,7 @@ proptest! {
             &Seeds::none(),
             &p,
             &WorkerPool::new(workers),
-            &ShardConfig { shards: None, max_users: Some(cap), ..ShardConfig::default() },
+            &ShardConfig { shards: None, max_users: Some(cap) },
             &(|| false),
             Some(&registry),
         )

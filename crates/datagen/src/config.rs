@@ -164,9 +164,8 @@ impl DatasetConfig {
     /// graph. Confounder populations scale ×10 again so the world keeps
     /// the 100× texture (thousands of benign dense blocks, not just more
     /// long-tail noise). This is the world the compact-CSR sharded runtime
-    /// is gated on in `perf_smoke`: it does not fit the dense
-    /// subgraph-per-shard path comfortably, and a sequential shard loop
-    /// blows the wall-clock budget.
+    /// exists for: it does not fit the dense subgraph-per-shard path
+    /// comfortably.
     pub fn scale1000() -> Self {
         Self {
             num_users: 2_000_000,

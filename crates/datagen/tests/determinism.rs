@@ -1,7 +1,7 @@
 //! Generation determinism: the synthetic world is a function of its
 //! configuration, nothing else. The same seed must produce *byte-identical*
 //! TSV output — across runs, at every preset. Anything less silently breaks
-//! golden files, `BENCH_extract.json` trajectories, and cross-run
+//! golden files, benchmark trajectories, and cross-run
 //! shard-vs-unsharded comparisons.
 
 use ricd_datagen::prelude::*;

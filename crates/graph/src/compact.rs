@@ -31,7 +31,7 @@
 
 use crate::graph::BipartiteGraph;
 use crate::ids::{ItemId, UserId};
-use crate::view::NeighborView;
+use crate::view::{NeighborView, PruneView};
 
 /// One alive bit per vertex, 64 packed per word.
 ///
@@ -658,6 +658,23 @@ impl NeighborView for CompactView<'_> {
                 true
             }
         });
+    }
+}
+
+impl PruneView for CompactView<'_> {
+    #[inline]
+    fn alive_users(&self) -> usize {
+        CompactView::alive_users(self)
+    }
+    #[inline]
+    fn alive_items(&self) -> usize {
+        CompactView::alive_items(self)
+    }
+    fn remove_user(&mut self, u: UserId) {
+        CompactView::remove_user(self, u);
+    }
+    fn remove_item(&mut self, v: ItemId) {
+        CompactView::remove_item(self, v);
     }
 }
 

@@ -16,15 +16,17 @@
 //! All derivations return **sorted, deduplicated** raw-index worklists over
 //! currently-alive vertices. Dedup uses reusable bitmaps so repeated rounds
 //! allocate nothing; the bitmaps are cleared by walking the result list, so
-//! the cost is proportional to the frontier, not the graph.
+//! the cost is proportional to the frontier, not the graph. Everything is
+//! generic over [`NeighborView`], whose walks from a *dead* anchor still
+//! yield its alive neighbors — exactly the vertices a removal can dirty.
 
 use crate::ids::{ItemId, UserId};
-use crate::view::GraphView;
+use crate::view::NeighborView;
 
 /// Reusable dedup bitmaps for frontier derivation.
 ///
-/// Sized for a specific graph; [`FrontierScratch::for_view`] builds one that
-/// fits the view's underlying graph. All bits are false between calls.
+/// Sized for a specific id space; [`FrontierScratch::for_view`] builds one
+/// that fits a view. All bits are false between calls.
 #[derive(Debug)]
 pub struct FrontierScratch {
     user_seen: Vec<bool>,
@@ -40,22 +42,24 @@ impl FrontierScratch {
         }
     }
 
-    /// Creates scratch sized for `view`'s underlying graph.
-    pub fn for_view(view: &GraphView<'_>) -> Self {
-        Self::new(view.graph().num_users(), view.graph().num_items())
+    /// Creates scratch sized for `view`'s id space.
+    pub fn for_view<V: NeighborView>(view: &V) -> Self {
+        Self::new(view.num_users(), view.num_items())
     }
 
+    // The callers only push what a `NeighborView` walk yielded, so the
+    // vertex is alive; dedup is all that is left to do.
     #[inline]
-    fn push_user(&mut self, out: &mut Vec<u32>, view: &GraphView<'_>, u: UserId) {
-        if view.user_alive(u) && !self.user_seen[u.index()] {
+    fn push_user(&mut self, out: &mut Vec<u32>, u: UserId) {
+        if !self.user_seen[u.index()] {
             self.user_seen[u.index()] = true;
             out.push(u.0);
         }
     }
 
     #[inline]
-    fn push_item(&mut self, out: &mut Vec<u32>, view: &GraphView<'_>, v: ItemId) {
-        if view.item_alive(v) && !self.item_seen[v.index()] {
+    fn push_item(&mut self, out: &mut Vec<u32>, v: ItemId) {
+        if !self.item_seen[v.index()] {
             self.item_seen[v.index()] = true;
             out.push(v.0);
         }
@@ -80,32 +84,28 @@ impl FrontierScratch {
 
 /// Alive users whose live degree may have dropped: the one-hop neighborhood
 /// of the removed items.
-pub fn core_dirty_users(
-    view: &GraphView<'_>,
+pub fn core_dirty_users<V: NeighborView>(
+    view: &V,
     removed_items: &[ItemId],
     scratch: &mut FrontierScratch,
 ) -> Vec<u32> {
     let mut out = Vec::new();
     for &v in removed_items {
-        for &u in view.graph().item_adjacency(v) {
-            scratch.push_user(&mut out, view, u);
-        }
+        view.for_each_item_neighbor(v, |u| scratch.push_user(&mut out, u));
     }
     scratch.finish_users(out)
 }
 
 /// Alive items whose live degree may have dropped: the one-hop neighborhood
 /// of the removed users.
-pub fn core_dirty_items(
-    view: &GraphView<'_>,
+pub fn core_dirty_items<V: NeighborView>(
+    view: &V,
     removed_users: &[UserId],
     scratch: &mut FrontierScratch,
 ) -> Vec<u32> {
     let mut out = Vec::new();
     for &u in removed_users {
-        for &v in view.graph().user_adjacency(u) {
-            scratch.push_item(&mut out, view, v);
-        }
+        view.for_each_user_neighbor(u, |v| scratch.push_item(&mut out, v));
     }
     scratch.finish_items(out)
 }
@@ -119,54 +119,47 @@ pub fn core_dirty_items(
 ///   shares a *currently alive* item with (two hops). Shared items that died
 ///   in the same batch are covered by the first leg, since their adjacency
 ///   includes those same peers.
-pub fn square_dirty_users(
-    view: &GraphView<'_>,
+pub fn square_dirty_users<V: NeighborView>(
+    view: &V,
     removed_users: &[UserId],
     removed_items: &[ItemId],
     scratch: &mut FrontierScratch,
 ) -> Vec<u32> {
     let mut out = Vec::new();
     for &v in removed_items {
-        for &u in view.graph().item_adjacency(v) {
-            scratch.push_user(&mut out, view, u);
-        }
+        view.for_each_item_neighbor(v, |u| scratch.push_user(&mut out, u));
     }
+    // Removed users share their (hot) items: walk each item's list once.
+    let mut through = Vec::new();
     for &ru in removed_users {
-        for &v in view.graph().user_adjacency(ru) {
-            if !view.item_alive(v) {
-                continue;
-            }
-            for &u in view.graph().item_adjacency(v) {
-                scratch.push_user(&mut out, view, u);
-            }
-        }
+        view.for_each_user_neighbor(ru, |v| scratch.push_item(&mut through, v));
+    }
+    for &v in &through {
+        scratch.item_seen[v as usize] = false;
+        view.for_each_item_neighbor(ItemId(v), |u| scratch.push_user(&mut out, u));
     }
     scratch.finish_users(out)
 }
 
 /// Alive items whose common-neighbor counts may have dropped (mirror of
 /// [`square_dirty_users`]).
-pub fn square_dirty_items(
-    view: &GraphView<'_>,
+pub fn square_dirty_items<V: NeighborView>(
+    view: &V,
     removed_users: &[UserId],
     removed_items: &[ItemId],
     scratch: &mut FrontierScratch,
 ) -> Vec<u32> {
     let mut out = Vec::new();
     for &u in removed_users {
-        for &v in view.graph().user_adjacency(u) {
-            scratch.push_item(&mut out, view, v);
-        }
+        view.for_each_user_neighbor(u, |v| scratch.push_item(&mut out, v));
     }
+    let mut through = Vec::new();
     for &rv in removed_items {
-        for &u in view.graph().item_adjacency(rv) {
-            if !view.user_alive(u) {
-                continue;
-            }
-            for &v in view.graph().user_adjacency(u) {
-                scratch.push_item(&mut out, view, v);
-            }
-        }
+        view.for_each_item_neighbor(rv, |u| scratch.push_user(&mut through, u));
+    }
+    for &u in &through {
+        scratch.user_seen[u as usize] = false;
+        view.for_each_user_neighbor(UserId(u), |v| scratch.push_item(&mut out, v));
     }
     scratch.finish_items(out)
 }
@@ -176,6 +169,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::graph::BipartiteGraph;
+    use crate::view::GraphView;
 
     /// 4 users × 3 items; u0..u2 click all items, u3 clicks only i2.
     fn fixture() -> BipartiteGraph {

@@ -67,5 +67,5 @@ pub use ids::{ItemId, NodeId, UserId};
 pub use shard::{plan_shards, user_shard, Shard, ShardOptions, ShardPlan, ShardPlanStats};
 pub use stats::{ClickDistribution, DatasetScale, SideStats};
 pub use subgraph::InducedSubgraph;
-pub use twohop::{CommonNeighborScratch, HubBitmaps, KernelScratch, SortedNeighborScratch};
-pub use view::{GraphView, LogMark, NeighborView};
+pub use twohop::{CommonNeighborScratch, HubBitmaps, KernelScratch};
+pub use view::{GraphView, NeighborView, PruneView};

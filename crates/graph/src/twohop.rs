@@ -283,282 +283,6 @@ pub fn item_two_hop_size<V: NeighborView>(
     n
 }
 
-/// Reusable buffers for the sorted-intersection qualified-neighbor test:
-/// the anchor's decoded alive adjacency, one candidate's decoded alive
-/// adjacency, and a word-packed dedup bitmap over the same-side id space.
-#[derive(Clone, Debug)]
-pub struct SortedNeighborScratch {
-    base: Vec<u32>,
-    other: Vec<u32>,
-    seen: Vec<u64>,
-    touched_words: Vec<u32>,
-}
-
-impl SortedNeighborScratch {
-    /// Scratch sized for `n` same-side vertices.
-    pub fn new(n: usize) -> Self {
-        Self {
-            base: Vec::new(),
-            other: Vec::new(),
-            seen: vec![0u64; n.div_ceil(64)],
-            touched_words: Vec::new(),
-        }
-    }
-
-    fn clear_seen(&mut self) {
-        for &w in &self.touched_words {
-            self.seen[w as usize] = 0;
-        }
-        self.touched_words.clear();
-    }
-
-    /// Marks `idx` seen; returns true if it was newly marked.
-    #[inline]
-    fn mark(&mut self, idx: usize) -> bool {
-        let w = idx / 64;
-        let mask = 1u64 << (idx % 64);
-        if self.seen[w] & mask != 0 {
-            return false;
-        }
-        if self.seen[w] == 0 {
-            self.touched_words.push(w as u32);
-        }
-        self.seen[w] |= mask;
-        true
-    }
-}
-
-/// First index `>= lo` with `a[idx] >= target`, by exponential (galloping)
-/// search from `lo` followed by a binary search over the bracketed range.
-#[inline]
-fn gallop_from(a: &[u32], lo: usize, target: u32) -> usize {
-    let mut step = 1usize;
-    let mut prev = lo;
-    let mut cur = lo;
-    while cur < a.len() && a[cur] < target {
-        prev = cur;
-        cur += step;
-        step *= 2;
-    }
-    let hi = cur.min(a.len());
-    prev + a[prev..hi].partition_point(|&x| x < target)
-}
-
-/// When one list dwarfs the other by this factor, gallop through the long
-/// one instead of two-pointer merging — `O(short · log long)` beats
-/// `O(short + long)` on skewed degree pairs (star hubs vs leaf users).
-const GALLOP_RATIO: usize = 8;
-
-/// True iff `|a ∩ b| >= bound` for ascending duplicate-free `a`, `b`
-/// (`bound >= 1`), exiting the moment the bound is reached.
-fn sorted_intersection_reaches(a: &[u32], b: &[u32], bound: u32) -> bool {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() || (short.len() as u32) < bound {
-        return false;
-    }
-    let mut count = 0u32;
-    if long.len() / short.len() >= GALLOP_RATIO {
-        let mut lo = 0usize;
-        for &x in short {
-            lo = gallop_from(long, lo, x);
-            if lo >= long.len() {
-                break;
-            }
-            if long[lo] == x {
-                count += 1;
-                if count >= bound {
-                    return true;
-                }
-                lo += 1;
-            }
-        }
-        return false;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < short.len() && j < long.len() {
-        match short[i].cmp(&long[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                if count >= bound {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    false
-}
-
-/// Sorted-intersection variant of [`user_has_qualified_neighbors`]: same
-/// contract, different machinery. Candidates are discovered by a wedge
-/// walk (deduped via a bitmap), but each candidate's common-neighbor count
-/// is then decided by intersecting two **sorted alive adjacency lists** —
-/// sequential array scans with galloping on skewed degree pairs — instead
-/// of accumulating per-wedge counts in a random-access scratch array.
-///
-/// This trades the wedge walk's scattered `counts[u2]` updates for
-/// streaming merges, but pays Θ(deg(candidate)) per candidate where the
-/// wedge counter pays O(1) per wedge — so for the one-to-all survival
-/// query on hot-item anchors (many candidates, each with long adjacency)
-/// the wedge counter is strictly cheaper, and the prune fixpoint uses it.
-/// Reach for this variant when the candidate set is externally narrowed
-/// (pair-style queries, seeds, risk drill-downs) or when a shard-sized
-/// scratch array is unaffordable. `tests/proptest_twohop.rs` asserts the
-/// two agree on random graphs and adversarial fixtures, on both graph
-/// representations.
-pub fn user_has_qualified_neighbors_sorted<V: NeighborView>(
-    view: &V,
-    u: UserId,
-    bound: u32,
-    need: usize,
-    scratch: &mut SortedNeighborScratch,
-) -> bool {
-    if need == 0 {
-        return true;
-    }
-    scratch.clear_seen();
-    if bound == 0 {
-        // Distinct-partner count with early exit (same semantics as the
-        // wedge variant's bound==0 fallback).
-        let mut n = 0usize;
-        let mut done = false;
-        view.for_each_user_neighbor_while(u, |v| {
-            view.for_each_item_neighbor_while(v, |u2| {
-                if u2 != u && scratch.mark(u2.index()) {
-                    n += 1;
-                    if n >= need {
-                        done = true;
-                        return false;
-                    }
-                }
-                true
-            });
-            !done
-        });
-        return done;
-    }
-    // Anchor adjacency, decoded once. No candidate can share more than
-    // |adj(u)| neighbors, so a short anchor settles the whole test.
-    let mut base = std::mem::take(&mut scratch.base);
-    base.clear();
-    view.for_each_user_neighbor(u, |v| base.push(v.0));
-    if (base.len() as u32) < bound {
-        scratch.base = base;
-        return false;
-    }
-    // Wedge sources cheap-first, mirroring the wedge variant's ordering.
-    let mut items: Vec<(u32, ItemId)> = base
-        .iter()
-        .map(|&v| (view.item_degree(ItemId(v)) as u32, ItemId(v)))
-        .collect();
-    items.sort_unstable();
-    let mut other = std::mem::take(&mut scratch.other);
-    let mut candidates: Vec<UserId> = Vec::new();
-    let mut qualified = 0usize;
-    let mut done = false;
-    for &(_, v) in &items {
-        candidates.clear();
-        view.for_each_item_neighbor(v, |u2| {
-            if u2 != u && scratch.mark(u2.index()) {
-                candidates.push(u2);
-            }
-        });
-        for &u2 in &candidates {
-            other.clear();
-            view.for_each_user_neighbor(u2, |v2| other.push(v2.0));
-            if sorted_intersection_reaches(&base, &other, bound) {
-                qualified += 1;
-                if qualified >= need {
-                    done = true;
-                    break;
-                }
-            }
-        }
-        if done {
-            break;
-        }
-    }
-    scratch.base = base;
-    scratch.other = other;
-    done
-}
-
-/// Item-side analogue of [`user_has_qualified_neighbors_sorted`].
-pub fn item_has_qualified_neighbors_sorted<V: NeighborView>(
-    view: &V,
-    v: ItemId,
-    bound: u32,
-    need: usize,
-    scratch: &mut SortedNeighborScratch,
-) -> bool {
-    if need == 0 {
-        return true;
-    }
-    scratch.clear_seen();
-    if bound == 0 {
-        let mut n = 0usize;
-        let mut done = false;
-        view.for_each_item_neighbor_while(v, |u| {
-            view.for_each_user_neighbor_while(u, |v2| {
-                if v2 != v && scratch.mark(v2.index()) {
-                    n += 1;
-                    if n >= need {
-                        done = true;
-                        return false;
-                    }
-                }
-                true
-            });
-            !done
-        });
-        return done;
-    }
-    let mut base = std::mem::take(&mut scratch.base);
-    base.clear();
-    view.for_each_item_neighbor(v, |u| base.push(u.0));
-    if (base.len() as u32) < bound {
-        scratch.base = base;
-        return false;
-    }
-    let mut users: Vec<(u32, UserId)> = base
-        .iter()
-        .map(|&u| (view.user_degree(UserId(u)) as u32, UserId(u)))
-        .collect();
-    users.sort_unstable();
-    let mut other = std::mem::take(&mut scratch.other);
-    let mut candidates: Vec<ItemId> = Vec::new();
-    let mut qualified = 0usize;
-    let mut done = false;
-    for &(_, u) in &users {
-        candidates.clear();
-        view.for_each_user_neighbor(u, |v2| {
-            if v2 != v && scratch.mark(v2.index()) {
-                candidates.push(v2);
-            }
-        });
-        for &v2 in &candidates {
-            other.clear();
-            view.for_each_item_neighbor(v2, |u2| other.push(u2.0));
-            if sorted_intersection_reaches(&base, &other, bound) {
-                qualified += 1;
-                if qualified >= need {
-                    done = true;
-                    break;
-                }
-            }
-        }
-        if done {
-            break;
-        }
-    }
-    scratch.base = base;
-    scratch.other = other;
-    done
-}
-
 /// Exact `|adj(u1) ∩ adj(u2)|` over alive items, by sorted-merge on the
 /// static adjacency (cheap for spot checks and property tests).
 pub fn user_common_neighbors(view: &GraphView<'_>, u1: UserId, u2: UserId) -> u32 {
@@ -748,14 +472,13 @@ impl HubBitmaps {
     }
 }
 
-/// Unified per-worker scratch for all three survival kernels: the wedge
-/// counter's counts/touched arrays, the sorted path's decode buffers, and
-/// the blocked kernel's candidate bitmap — one lease covers any dispatch
-/// decision, and nothing is allocated per call in steady state.
+/// Unified per-worker scratch for both survival kernels: the wedge
+/// counter's counts/touched arrays and the blocked kernel's candidate
+/// bitmap — one lease covers either dispatch decision, and nothing is
+/// allocated per call in steady state.
 #[derive(Clone, Debug)]
 pub struct KernelScratch {
     wedge: CommonNeighborScratch,
-    sorted: SortedNeighborScratch,
     /// Candidate bitmap over the same-side id space (blocked kernel).
     cand_words: Vec<u64>,
     /// Indices of nonzero `cand_words`, for sparse clearing and sweeping.
@@ -769,7 +492,6 @@ impl KernelScratch {
     pub fn new(n: usize) -> Self {
         Self {
             wedge: CommonNeighborScratch::new(n),
-            sorted: SortedNeighborScratch::new(n),
             cand_words: vec![0u64; n.div_ceil(64)],
             cand_touched: Vec::new(),
             order: Vec::new(),
@@ -779,11 +501,6 @@ impl KernelScratch {
     /// The wedge-counting kernel's view of this scratch.
     pub fn wedge_mut(&mut self) -> &mut CommonNeighborScratch {
         &mut self.wedge
-    }
-
-    /// The sorted-intersection kernel's view of this scratch.
-    pub fn sorted_mut(&mut self) -> &mut SortedNeighborScratch {
-        &mut self.sorted
     }
 }
 
@@ -1197,119 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_finds_first_not_less() {
-        let a = [2u32, 4, 4, 8, 16, 32, 64, 100];
-        // (a has no duplicates in real adjacency; gallop still behaves.)
-        for (lo, target, want) in [
-            (0usize, 0u32, 0usize),
-            (0, 2, 0),
-            (0, 3, 1),
-            (0, 100, 7),
-            (0, 101, 8),
-            (3, 5, 3),
-            (5, 33, 6),
-            (8, 1, 8),
-        ] {
-            assert_eq!(gallop_from(&a, lo, target), want, "lo={lo} target={target}");
-        }
-    }
-
-    #[test]
-    fn sorted_intersection_reaches_matches_exact_count() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[], &[1, 2, 3]),
-            (&[1, 2, 3], &[1, 2, 3]),
-            (&[1, 3, 5, 7], &[2, 3, 6, 7, 9]),
-            (
-                &[5],
-                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
-            ),
-            (
-                &[0, 16],
-                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
-            ),
-        ];
-        for &(a, b) in cases {
-            let exact = a.iter().filter(|x| b.contains(x)).count() as u32;
-            for bound in 1..=4u32 {
-                assert_eq!(
-                    sorted_intersection_reaches(a, b, bound),
-                    exact >= bound,
-                    "a={a:?} b={b:?} bound={bound}"
-                );
-                // Both argument orders must agree.
-                assert_eq!(sorted_intersection_reaches(b, a, bound), exact >= bound);
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_qualified_matches_wedge_qualified() {
-        let mut b = GraphBuilder::new();
-        // Star hub item 0 + a dense 4x3 block + a degree-1 chain.
-        for u in 0..8u32 {
-            b.add_click(UserId(u), ItemId(0), 1);
-        }
-        for u in 0..4u32 {
-            for v in 1..4u32 {
-                b.add_click(UserId(u), ItemId(v), 1);
-            }
-        }
-        b.add_click(UserId(8), ItemId(4), 1);
-        b.add_click(UserId(9), ItemId(5), 1);
-        let g = b.build();
-        let mut view = GraphView::full(&g);
-        view.remove_user(UserId(7));
-        view.remove_item(ItemId(3));
-        let mut wedge = CommonNeighborScratch::new(g.num_users());
-        let mut sorted = SortedNeighborScratch::new(g.num_users());
-        for u in (0..g.num_users() as u32).map(UserId) {
-            for bound in 0..5u32 {
-                for need in 0..6usize {
-                    assert_eq!(
-                        user_has_qualified_neighbors_sorted(&view, u, bound, need, &mut sorted),
-                        user_has_qualified_neighbors(&view, u, bound, need, &mut wedge),
-                        "u={u:?} bound={bound} need={need}"
-                    );
-                }
-            }
-        }
-        let mut iwedge = CommonNeighborScratch::new(g.num_items());
-        let mut isorted = SortedNeighborScratch::new(g.num_items());
-        for v in (0..g.num_items() as u32).map(ItemId) {
-            for bound in 0..5u32 {
-                for need in 0..6usize {
-                    assert_eq!(
-                        item_has_qualified_neighbors_sorted(&view, v, bound, need, &mut isorted),
-                        item_has_qualified_neighbors(&view, v, bound, need, &mut iwedge),
-                        "v={v:?} bound={bound} need={need}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_qualified_agrees_on_compact_view() {
-        let g = sample();
-        let c = crate::CompactBigraph::from_graph(&g);
-        let dense = GraphView::full(&g);
-        let compact = crate::CompactView::full(&c);
-        let mut sorted = SortedNeighborScratch::new(g.num_users());
-        for u in (0..g.num_users() as u32).map(UserId) {
-            for bound in 0..4u32 {
-                for need in 0..5usize {
-                    assert_eq!(
-                        user_has_qualified_neighbors_sorted(&dense, u, bound, need, &mut sorted),
-                        user_has_qualified_neighbors_sorted(&compact, u, bound, need, &mut sorted),
-                        "u={u:?} bound={bound} need={need}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn qualified_test_leaves_scratch_reusable() {
         let g = sample();
         let view = GraphView::full(&g);
@@ -1382,8 +986,7 @@ mod tests {
     #[test]
     fn blocked_qualified_matches_wedge_qualified() {
         let mut b = GraphBuilder::new();
-        // Star hub item 0 + a dense 4x3 block + a degree-1 chain (the
-        // sorted-vs-wedge fixture, reused for three-way coverage).
+        // Star hub item 0 + a dense 4x3 block + a degree-1 chain.
         for u in 0..8u32 {
             b.add_click(UserId(u), ItemId(0), 1);
         }

@@ -6,17 +6,10 @@
 //! per-side alive bitmaps plus *live degrees* that are decremented as
 //! neighbors disappear, making a removal `O(degree)` and degree queries
 //! `O(1)`.
-//!
-//! Every removal is also appended to a **removal log** so incremental
-//! consumers (the delta-driven fixpoint in `ricd-core`) can ask "what
-//! disappeared since my last pass?" via [`GraphView::log_mark`] /
-//! [`GraphView::removed_since`] and derive a dirty frontier from the answer
-//! (see the `frontier` module). Restores do **not** rewind the log — it is a
-//! record of removal events, not of the current alive set — so log-driven
-//! consumers must not interleave restores with delta rounds.
 
 use crate::graph::BipartiteGraph;
 use crate::ids::{ItemId, UserId};
+use crate::subgraph::InducedSubgraph;
 
 /// The query surface the pruning fixpoint and two-hop counters need from a
 /// deletion-tolerant graph view: alive predicates, live degrees, and
@@ -26,7 +19,8 @@ use crate::ids::{ItemId, UserId};
 /// and [`crate::compact::CompactView`] (alive bitmaps over the
 /// delta-encoded compact CSR), so shard-local pruning runs unchanged on
 /// either representation — and the differential suites can assert the two
-/// agree. Methods take `impl FnMut` closures rather than returning
+/// agree. Iterating a *dead* anchor still yields its alive neighbors, which
+/// is what the `frontier` derivations walk. Methods take `impl FnMut` closures rather than returning
 /// iterators so implementations stay monomorphized (no boxing on the hot
 /// path); the trait is deliberately not object-safe.
 pub trait NeighborView {
@@ -68,13 +62,26 @@ pub trait NeighborView {
     }
 }
 
-/// A position in a view's removal log: everything logged before the mark has
-/// already been observed by the holder. Obtained from [`GraphView::log_mark`]
-/// and consumed by [`GraphView::removed_since`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LogMark {
-    users: usize,
-    items: usize,
+/// What the pruning fixpoint of `ricd-core` needs on top of
+/// [`NeighborView`]: removals and alive counts. Both views implement it, so
+/// the one fixpoint runs on either representation — unsharded detection and
+/// reconciliation on a [`GraphView`], shard-local pruning on a
+/// [`crate::compact::CompactView`].
+pub trait PruneView: NeighborView {
+    /// Number of alive users.
+    fn alive_users(&self) -> usize;
+    /// Number of alive items.
+    fn alive_items(&self) -> usize;
+    /// Removes user `u` and all its incident edges.
+    fn remove_user(&mut self, u: UserId);
+    /// Removes item `v` and all its incident edges.
+    fn remove_item(&mut self, v: ItemId);
+    /// Rebuilds the alive region as a dense remapped graph, for views whose
+    /// representation can (the fixpoint calls this once most of a large
+    /// view has died). `None` — the default — keeps pruning in place.
+    fn compact(&self) -> Option<InducedSubgraph> {
+        None
+    }
 }
 
 /// A mutable "what's left" mask over an immutable [`BipartiteGraph`].
@@ -87,8 +94,6 @@ pub struct GraphView<'g> {
     item_live_degree: Vec<u32>,
     alive_users: usize,
     alive_items: usize,
-    removed_users_log: Vec<UserId>,
-    removed_items_log: Vec<ItemId>,
 }
 
 impl<'g> GraphView<'g> {
@@ -108,8 +113,6 @@ impl<'g> GraphView<'g> {
             item_live_degree,
             alive_users: graph.num_users(),
             alive_items: graph.num_items(),
-            removed_users_log: Vec::new(),
-            removed_items_log: Vec::new(),
         }
     }
 
@@ -133,8 +136,6 @@ impl<'g> GraphView<'g> {
             item_live_degree: vec![0; graph.num_items()],
             alive_users: 0,
             alive_items: 0,
-            removed_users_log: Vec::new(),
-            removed_items_log: Vec::new(),
         };
         let mut alive_user_list = Vec::new();
         for u in users {
@@ -266,37 +267,11 @@ impl<'g> GraphView<'g> {
             .filter(move |v| self.item_alive[v.index()])
     }
 
-    /// The current position in the removal log. Removals made after this
-    /// call are visible through [`removed_since`](Self::removed_since).
-    #[inline]
-    pub fn log_mark(&self) -> LogMark {
-        LogMark {
-            users: self.removed_users_log.len(),
-            items: self.removed_items_log.len(),
-        }
-    }
-
-    /// The users and items removed since `mark`, in removal order.
-    pub fn removed_since(&self, mark: LogMark) -> (&[UserId], &[ItemId]) {
-        (
-            &self.removed_users_log[mark.users..],
-            &self.removed_items_log[mark.items..],
-        )
-    }
-
-    /// Monotone change counter: the total number of removal events ever
-    /// logged on this view (restores do not decrement it).
-    #[inline]
-    pub fn removal_epoch(&self) -> u64 {
-        (self.removed_users_log.len() + self.removed_items_log.len()) as u64
-    }
-
     /// Removes user `u` and all its incident edges. Idempotent.
     pub fn remove_user(&mut self, u: UserId) {
         if !self.user_alive[u.index()] {
             return;
         }
-        self.removed_users_log.push(u);
         self.user_alive[u.index()] = false;
         self.alive_users -= 1;
         self.user_live_degree[u.index()] = 0;
@@ -312,7 +287,6 @@ impl<'g> GraphView<'g> {
         if !self.item_alive[v.index()] {
             return;
         }
-        self.removed_items_log.push(v);
         self.item_alive[v.index()] = false;
         self.alive_items -= 1;
         self.item_live_degree[v.index()] = 0;
@@ -415,6 +389,26 @@ impl NeighborView for GraphView<'_> {
                 return;
             }
         }
+    }
+}
+
+impl PruneView for GraphView<'_> {
+    #[inline]
+    fn alive_users(&self) -> usize {
+        GraphView::alive_users(self)
+    }
+    #[inline]
+    fn alive_items(&self) -> usize {
+        GraphView::alive_items(self)
+    }
+    fn remove_user(&mut self, u: UserId) {
+        GraphView::remove_user(self, u);
+    }
+    fn remove_item(&mut self, v: ItemId) {
+        GraphView::remove_item(self, v);
+    }
+    fn compact(&self) -> Option<InducedSubgraph> {
+        Some(InducedSubgraph::compact(self))
     }
 }
 
@@ -535,46 +529,5 @@ mod tests {
         let (us, is) = view.alive_sets();
         assert_eq!(us, vec![UserId(0), UserId(2)]);
         assert_eq!(is, vec![ItemId(0), ItemId(1), ItemId(2)]);
-    }
-
-    #[test]
-    fn removal_log_records_each_removal_once() {
-        let g = grid();
-        let mut view = GraphView::full(&g);
-        assert_eq!(view.removal_epoch(), 0);
-        let mark = view.log_mark();
-        view.remove_user(UserId(1));
-        view.remove_user(UserId(1)); // idempotent: must not double-log
-        view.remove_item(ItemId(2));
-        let (users, items) = view.removed_since(mark);
-        assert_eq!(users, &[UserId(1)]);
-        assert_eq!(items, &[ItemId(2)]);
-        assert_eq!(view.removal_epoch(), 2);
-    }
-
-    #[test]
-    fn log_mark_slices_suffix_only() {
-        let g = grid();
-        let mut view = GraphView::full(&g);
-        view.remove_user(UserId(0));
-        let mark = view.log_mark();
-        view.remove_user(UserId(2));
-        view.remove_item(ItemId(0));
-        let (users, items) = view.removed_since(mark);
-        assert_eq!(users, &[UserId(2)]);
-        assert_eq!(items, &[ItemId(0)]);
-    }
-
-    #[test]
-    fn restore_does_not_rewind_log() {
-        let g = grid();
-        let mut view = GraphView::full(&g);
-        let mark = view.log_mark();
-        view.remove_user(UserId(1));
-        view.restore_user(UserId(1));
-        let (users, items) = view.removed_since(mark);
-        assert_eq!(users, &[UserId(1)]);
-        assert!(items.is_empty());
-        assert_eq!(view.removal_epoch(), 1);
     }
 }

@@ -1,24 +1,21 @@
-//! Differential property tests for the three two-hop survival kernels:
-//! the wedge-accumulation counter (the reference), the sorted-intersection
-//! counter, and the cache-blocked SWAR kernel
-//! (`twohop::blocked_*_has_qualified_neighbors`).
+//! Differential property tests for the two two-hop survival kernels: the
+//! wedge-accumulation counter (the reference) and the cache-blocked SWAR
+//! kernel (`twohop::blocked_*_has_qualified_neighbors`).
 //!
-//! The pruning fixpoints dispatch every SquarePruning removal decision to
+//! The pruning fixpoint dispatches every SquarePruning removal decision to
 //! one of these kernels per anchor; the wedge test is the semantic
-//! reference, kept precisely so these properties can assert all three
-//! always agree — on random graphs, on both graph representations, under
-//! stale hub registries (built before removals), with empty registries,
-//! and on the adversarial shapes where each kernel's strategy goes wrong
-//! (star hubs that trigger galloping, degree-1 chains with nothing to
+//! reference, kept precisely so these properties can assert the two always
+//! agree — on random graphs, on both graph representations, under stale
+//! hub registries (built before removals), with empty registries, and on
+//! the adversarial shapes (star hubs, degree-1 chains with nothing to
 //! intersect, candidate sets straddling 64-bit word boundaries).
 
 use proptest::prelude::*;
 use ricd_graph::{
     twohop::{
         blocked_item_has_qualified_neighbors, blocked_user_has_qualified_neighbors,
-        item_has_qualified_neighbors, item_has_qualified_neighbors_sorted,
-        user_has_qualified_neighbors, user_has_qualified_neighbors_sorted, CommonNeighborScratch,
-        HubBitmaps, KernelScratch, SortedNeighborScratch,
+        item_has_qualified_neighbors, user_has_qualified_neighbors, CommonNeighborScratch,
+        HubBitmaps, KernelScratch,
     },
     CompactBigraph, CompactView, DeltaAdjacency, GraphBuilder, GraphView, ItemId, NeighborView,
     UserId,
@@ -36,30 +33,35 @@ fn build(records: &[(u32, u32, u32)]) -> ricd_graph::BipartiteGraph {
     b.build()
 }
 
-/// Exhaustively compares the sorted and wedge tests over every vertex and
-/// a grid of (bound, need) parameters on one view.
-fn assert_counters_agree(view: &GraphView<'_>, bounds: std::ops::Range<u32>) {
-    let g = view.graph();
-    let mut wedge_u = CommonNeighborScratch::new(g.num_users());
-    let mut sorted_u = SortedNeighborScratch::new(g.num_users());
-    for u in (0..g.num_users() as u32).map(UserId) {
+/// Exhaustively compares both kernels over every vertex of any view under
+/// a given (possibly stale, possibly empty) hub registry. The wedge kernel
+/// is the reference; blocked must match it bit for bit.
+fn assert_kernels_agree<V: NeighborView>(
+    view: &V,
+    hubs: &HubBitmaps,
+    bounds: std::ops::Range<u32>,
+    needs: std::ops::Range<usize>,
+) {
+    let mut wedge_u = CommonNeighborScratch::new(view.num_users());
+    let mut ks_u = KernelScratch::new(view.num_users());
+    for u in (0..view.num_users() as u32).map(UserId) {
         for bound in bounds.clone() {
-            for need in 0..5usize {
+            for need in needs.clone() {
                 assert_eq!(
-                    user_has_qualified_neighbors_sorted(view, u, bound, need, &mut sorted_u),
+                    blocked_user_has_qualified_neighbors(view, hubs, u, bound, need, &mut ks_u),
                     user_has_qualified_neighbors(view, u, bound, need, &mut wedge_u),
                     "user {u} bound={bound} need={need}"
                 );
             }
         }
     }
-    let mut wedge_i = CommonNeighborScratch::new(g.num_items());
-    let mut sorted_i = SortedNeighborScratch::new(g.num_items());
-    for v in (0..g.num_items() as u32).map(ItemId) {
+    let mut wedge_i = CommonNeighborScratch::new(view.num_items());
+    let mut ks_i = KernelScratch::new(view.num_items());
+    for v in (0..view.num_items() as u32).map(ItemId) {
         for bound in bounds.clone() {
-            for need in 0..5usize {
+            for need in needs.clone() {
                 assert_eq!(
-                    item_has_qualified_neighbors_sorted(view, v, bound, need, &mut sorted_i),
+                    blocked_item_has_qualified_neighbors(view, hubs, v, bound, need, &mut ks_i),
                     item_has_qualified_neighbors(view, v, bound, need, &mut wedge_i),
                     "item {v} bound={bound} need={need}"
                 );
@@ -69,71 +71,9 @@ fn assert_counters_agree(view: &GraphView<'_>, bounds: std::ops::Range<u32>) {
 }
 
 proptest! {
-    /// The sorted-intersection test equals the wedge test on random
-    /// graphs, before and after random removals.
-    #[test]
-    fn sorted_equals_wedge_on_random_graphs(
-        recs in records(),
-        dead_users in proptest::collection::btree_set(0u32..50, 0..15),
-        dead_items in proptest::collection::btree_set(0u32..35, 0..10),
-    ) {
-        let g = build(&recs);
-        let mut view = GraphView::full(&g);
-        assert_counters_agree(&view, 0..4);
-        for &u in &dead_users {
-            if (u as usize) < g.num_users() {
-                view.remove_user(UserId(u));
-            }
-        }
-        for &v in &dead_items {
-            if (v as usize) < g.num_items() {
-                view.remove_item(ItemId(v));
-            }
-        }
-        assert_counters_agree(&view, 0..4);
-    }
-
-    /// Representation independence: on the same world, the sorted test
-    /// answers identically over the dense `GraphView` and the compact
-    /// `CompactView` — including after mirrored removals.
-    #[test]
-    fn sorted_counter_agrees_across_representations(
-        recs in records(),
-        kills in proptest::collection::vec((any::<bool>(), 0u32..50), 0..40),
-    ) {
-        let g = build(&recs);
-        let c = CompactBigraph::from_graph(&g);
-        let mut dense = GraphView::full(&g);
-        let mut compact = CompactView::full(&c);
-        for &(is_user, id) in &kills {
-            if is_user {
-                if (id as usize) < g.num_users() {
-                    dense.remove_user(UserId(id));
-                    compact.remove_user(UserId(id));
-                }
-            } else if (id as usize) < g.num_items() {
-                dense.remove_item(ItemId(id));
-                compact.remove_item(ItemId(id));
-            }
-        }
-        let mut s1 = SortedNeighborScratch::new(g.num_users());
-        let mut s2 = SortedNeighborScratch::new(g.num_users());
-        for u in (0..g.num_users() as u32).map(UserId) {
-            for bound in 0..3u32 {
-                for need in 0..4usize {
-                    prop_assert_eq!(
-                        user_has_qualified_neighbors_sorted(&dense, u, bound, need, &mut s1),
-                        user_has_qualified_neighbors_sorted(&compact, u, bound, need, &mut s2),
-                        "user {} bound={} need={}", u, bound, need
-                    );
-                }
-            }
-        }
-    }
-
-    /// Star hubs: one ultra-popular item shared by every user forces the
-    /// skewed-degree regime where galloping (not two-pointer merging)
-    /// decides intersections; leaf users have nothing else in common.
+    /// Star hubs: one ultra-popular item shared by every user (the shape
+    /// the hub registry exists for); leaf users have nothing else in
+    /// common.
     #[test]
     fn star_hub_worlds(hub_users in 20u32..80, clique in 2u32..6) {
         let mut b = GraphBuilder::new();
@@ -151,12 +91,13 @@ proptest! {
             b.add_click(UserId(hub_users + i), ItemId(100 + i), 1);
         }
         let g = b.build();
-        let view = GraphView::full(&g);
-        assert_counters_agree(&view, 0..5);
-        // And with the hub removed, the skew collapses; still identical.
-        let mut view = view;
+        let mut view = GraphView::full(&g);
+        let hubs = HubBitmaps::build(&view, 4, 64);
+        prop_assert!(hubs.item_hub_count() > 0, "the shared item must be a hub");
+        assert_kernels_agree(&view, &hubs, 0..5, 0..5);
+        // And with the hub removed (registry now stale); still identical.
         view.remove_item(ItemId(0));
-        assert_counters_agree(&view, 0..5);
+        assert_kernels_agree(&view, &hubs, 0..5, 0..5);
     }
 
     /// Sorted-invariant violations are rejected at construction, not
@@ -188,64 +129,13 @@ proptest! {
     }
 }
 
-/// Exhaustively compares all three kernels over every vertex of any view
-/// under a given (possibly stale, possibly empty) hub registry. The wedge
-/// kernel is the reference; sorted and blocked must match it bit for bit.
-fn assert_three_way_agree<V: NeighborView>(
-    view: &V,
-    hubs: &HubBitmaps,
-    bounds: std::ops::Range<u32>,
-    needs: std::ops::Range<usize>,
-) {
-    let mut wedge_u = CommonNeighborScratch::new(view.num_users());
-    let mut sorted_u = SortedNeighborScratch::new(view.num_users());
-    let mut ks_u = KernelScratch::new(view.num_users());
-    for u in (0..view.num_users() as u32).map(UserId) {
-        for bound in bounds.clone() {
-            for need in needs.clone() {
-                let want = user_has_qualified_neighbors(view, u, bound, need, &mut wedge_u);
-                assert_eq!(
-                    blocked_user_has_qualified_neighbors(view, hubs, u, bound, need, &mut ks_u),
-                    want,
-                    "blocked: user {u} bound={bound} need={need}"
-                );
-                assert_eq!(
-                    user_has_qualified_neighbors_sorted(view, u, bound, need, &mut sorted_u),
-                    want,
-                    "sorted: user {u} bound={bound} need={need}"
-                );
-            }
-        }
-    }
-    let mut wedge_i = CommonNeighborScratch::new(view.num_items());
-    let mut sorted_i = SortedNeighborScratch::new(view.num_items());
-    let mut ks_i = KernelScratch::new(view.num_items());
-    for v in (0..view.num_items() as u32).map(ItemId) {
-        for bound in bounds.clone() {
-            for need in needs.clone() {
-                let want = item_has_qualified_neighbors(view, v, bound, need, &mut wedge_i);
-                assert_eq!(
-                    blocked_item_has_qualified_neighbors(view, hubs, v, bound, need, &mut ks_i),
-                    want,
-                    "blocked: item {v} bound={bound} need={need}"
-                );
-                assert_eq!(
-                    item_has_qualified_neighbors_sorted(view, v, bound, need, &mut sorted_i),
-                    want,
-                    "sorted: item {v} bound={bound} need={need}"
-                );
-            }
-        }
-    }
-}
-
 proptest! {
-    /// Three-way agreement on random graphs, across the registry spectrum:
+    /// Agreement on random graphs, across the registry spectrum:
     /// `hub_min = 1` (almost everything is a hub), `4` (a realistic
     /// hot-vertex floor), and `1000` (an *empty* registry — the blocked
     /// kernel must stream adjacency instead of ANDing bitmaps).
     #[test]
-    fn blocked_equals_wedge_and_sorted_on_random_graphs(
+    fn blocked_equals_wedge_on_random_graphs(
         recs in records(),
         hub_min_idx in 0usize..3,
     ) {
@@ -253,7 +143,7 @@ proptest! {
         let g = build(&recs);
         let view = GraphView::full(&g);
         let hubs = HubBitmaps::build(&view, hub_min, 64);
-        assert_three_way_agree(&view, &hubs, 0..4, 0..5);
+        assert_kernels_agree(&view, &hubs, 0..4, 0..5);
     }
 
     /// Hub staleness soundness: the registry is built on the *full* view,
@@ -281,13 +171,13 @@ proptest! {
                 view.remove_item(ItemId(v));
             }
         }
-        assert_three_way_agree(&view, &hubs, 0..4, 0..5);
+        assert_kernels_agree(&view, &hubs, 0..4, 0..5);
         // A registry rebuilt after the mass removal may be empty; the
         // blocked kernel must degrade to adjacency streaming and agree.
         let rebuilt = HubBitmaps::build(&view, 1000, 64);
         prop_assert_eq!(rebuilt.item_hub_count(), 0);
         prop_assert_eq!(rebuilt.user_hub_count(), 0);
-        assert_three_way_agree(&view, &rebuilt, 0..4, 0..5);
+        assert_kernels_agree(&view, &rebuilt, 0..4, 0..5);
     }
 
     /// Representation independence for the blocked kernel: identical
@@ -373,8 +263,7 @@ fn blocked_kernel_exact_at_word_boundary_populations() {
 /// `need` exactly at the qualified-partner bound on a perfect biclique,
 /// answered by the *blocked* kernel against a populated registry: everyone
 /// qualifies right up to (bound = items, need = users−1) and fails one
-/// past it on either axis — the same edge `biclique_boundary_is_exact`
-/// pins for the sorted kernel.
+/// past it on either axis.
 #[test]
 fn blocked_biclique_boundary_is_exact() {
     let (nu, ni) = (9u32, 7u32);
@@ -414,7 +303,7 @@ fn blocked_biclique_boundary_is_exact() {
             &mut ks
         ));
     }
-    assert_three_way_agree(&view, &hubs, 0..9, 0..5);
+    assert_kernels_agree(&view, &hubs, 0..9, 0..5);
 }
 
 /// Degree-1 chains end to end: u_i — v_i with no shared items anywhere.
@@ -428,70 +317,16 @@ fn degree_one_chain_has_no_partners() {
     }
     let g = b.build();
     let view = GraphView::full(&g);
-    assert_counters_agree(&view, 0..3);
-    let mut sorted = SortedNeighborScratch::new(g.num_users());
+    let hubs = HubBitmaps::build(&view, 1, 64);
+    assert_kernels_agree(&view, &hubs, 0..3, 0..5);
+    let mut ks = KernelScratch::new(g.num_users());
     for u in (0..70u32).map(UserId) {
-        assert!(!user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            1,
-            1,
-            &mut sorted
-        ));
-        assert!(!user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            0,
-            1,
-            &mut sorted
-        ));
-        assert!(user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            3,
-            0,
-            &mut sorted
-        ));
-    }
-}
-
-/// The perfect-biclique fixture: every user shares every item with every
-/// other user, so the sorted test must qualify everyone right up to the
-/// exact (bound = items, need = users-1) edge and fail just past it.
-#[test]
-fn biclique_boundary_is_exact() {
-    let (nu, ni) = (9u32, 7u32);
-    let mut b = GraphBuilder::new();
-    for u in 0..nu {
-        for v in 0..ni {
-            b.add_click(UserId(u), ItemId(v), 2);
+        for (bound, need, want) in [(1, 1, false), (0, 1, false), (3, 0, true)] {
+            assert_eq!(
+                blocked_user_has_qualified_neighbors(&view, &hubs, u, bound, need, &mut ks),
+                want,
+                "u={u} bound={bound} need={need}"
+            );
         }
     }
-    let g = b.build();
-    let view = GraphView::full(&g);
-    let mut sorted = SortedNeighborScratch::new(g.num_users());
-    for u in (0..nu).map(UserId) {
-        assert!(user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            ni,
-            (nu - 1) as usize,
-            &mut sorted
-        ));
-        assert!(!user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            ni + 1,
-            1,
-            &mut sorted
-        ));
-        assert!(!user_has_qualified_neighbors_sorted(
-            &view,
-            u,
-            ni,
-            nu as usize,
-            &mut sorted
-        ));
-    }
-    assert_counters_agree(&view, 0..9);
 }

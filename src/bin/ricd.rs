@@ -81,7 +81,7 @@ USAGE:
                   [--k1 <N>] [--k2 <N>] [--alpha <F>]
                   [--t-hot <N>] [--t-click <N>]
                   [--seed-user <id>]... [--seed-item <id>]...
-                  [--shards <N>] [--shard-max-users <N>] [--kernel auto|wedge]
+                  [--shards <N>] [--shard-max-users <N>]
                   [--lossy] [--deadline-ms <N>] [--max-groups <N>]
                   [--metrics-out <m.json>] [--metrics-count-only] [--trace]
     ricd eval     --input <clicks.tsv> --truth <truth.json> [--method <NAME>]
@@ -136,11 +136,6 @@ SHARDING:
                          unsharded run
     --shard-max-users N  shard by an explicit per-shard user cap instead
                          of a target count (overrides --shards)
-    --kernel K           survival-kernel selection for sharded runs:
-                         `auto` (default; per-anchor dispatch between the
-                         wedge, blocked-bitset, and sorted kernels) or
-                         `wedge` (wedge counting only — the baseline for
-                         perf comparisons; output is identical either way)
 
 OBSERVABILITY:
     --metrics-out F        write the run's metrics snapshot (counters,
@@ -472,20 +467,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
     let shard_cfg = {
         let shards = flags.parse("--shards")?;
         let max_users = flags.parse("--shard-max-users")?;
-        let kernel = match flags.get("--kernel") {
-            None | Some("auto") => KernelSelection::Auto,
-            Some("wedge") => KernelSelection::WedgeOnly,
-            Some(other) => {
-                return Err(CliError::Usage(format!(
-                    "--kernel must be `auto` or `wedge`, got `{other}`"
-                )))
-            }
-        };
-        (shards.is_some() || max_users.is_some()).then_some(ShardConfig {
-            shards,
-            max_users,
-            kernel,
-        })
+        (shards.is_some() || max_users.is_some()).then_some(ShardConfig { shards, max_users })
     };
 
     let g = load_graph(input, flags.has("--lossy"), Some(&registry))?;

@@ -36,7 +36,6 @@ fn sharded_pipeline_matches_unsharded_groups_and_risk_ordering() {
             ShardConfig {
                 shards: Some(4),
                 max_users: None,
-                kernel: KernelSelection::Auto,
             },
             4,
         ),
@@ -46,16 +45,6 @@ fn sharded_pipeline_matches_unsharded_groups_and_risk_ordering() {
             ShardConfig {
                 shards: None,
                 max_users: Some(3),
-                kernel: KernelSelection::Auto,
-            },
-            2,
-        ),
-        // The wedge-only baseline kernel must land on the same fixpoint.
-        (
-            ShardConfig {
-                shards: None,
-                max_users: Some(3),
-                kernel: KernelSelection::WedgeOnly,
             },
             2,
         ),
@@ -76,26 +65,24 @@ fn sharded_pipeline_matches_unsharded_groups_and_risk_ordering() {
     }
 }
 
-/// The worker × kernel matrix: the same shard plan executed on 1, 2, and 4
-/// pool workers, under both the dispatched kernel mix and the wedge-only
-/// baseline, must be *byte-identical* — not just set-equal — in groups,
-/// risk scores, and both rankings. Serialized JSON is the comparison so
-/// any float formatting or ordering drift fails loudly.
+/// The worker matrix: the same shard plan executed on 1, 2, and 4 pool
+/// workers must be *byte-identical* — not just set-equal — in groups, risk
+/// scores, and both rankings. Serialized JSON is the comparison so any
+/// float formatting or ordering drift fails loudly.
 #[test]
-fn worker_and_kernel_matrix_is_byte_identical() {
+fn worker_matrix_is_byte_identical() {
     let ds = world();
-    let render = |kernel: KernelSelection, workers: usize| {
+    let render = |workers: usize| {
         let cfg = ShardConfig {
             shards: Some(4),
             max_users: None,
-            kernel,
         };
         let r = RicdPipeline::new(RicdParams::default())
             .with_pool(WorkerPool::new(workers))
             .run_sharded(&ds.graph, &cfg);
         assert!(
             !r.groups.is_empty(),
-            "kernel={kernel:?} workers={workers}: no groups detected"
+            "workers={workers}: no groups detected"
         );
         (
             serde_json::to_string(&r.groups).unwrap(),
@@ -103,23 +90,13 @@ fn worker_and_kernel_matrix_is_byte_identical() {
             serde_json::to_string(&r.ranked_items).unwrap(),
         )
     };
-    let baseline = render(KernelSelection::WedgeOnly, 1);
-    for kernel in [KernelSelection::WedgeOnly, KernelSelection::Auto] {
-        for workers in [1usize, 2, 4] {
-            let got = render(kernel, workers);
-            assert_eq!(
-                got.0, baseline.0,
-                "groups bytes diverged at kernel={kernel:?} workers={workers}"
-            );
-            assert_eq!(
-                got.1, baseline.1,
-                "ranked_users bytes diverged at kernel={kernel:?} workers={workers}"
-            );
-            assert_eq!(
-                got.2, baseline.2,
-                "ranked_items bytes diverged at kernel={kernel:?} workers={workers}"
-            );
-        }
+    let baseline = render(1);
+    for workers in [2usize, 4] {
+        assert_eq!(
+            render(workers),
+            baseline,
+            "groups / ranked_users / ranked_items bytes diverged at workers={workers}"
+        );
     }
 }
 
@@ -138,7 +115,6 @@ fn shard_task_panic_is_retried_to_identical_output() {
     let cfg = ShardConfig {
         shards: Some(4),
         max_users: None,
-        ..ShardConfig::default()
     };
     let pool = WorkerPool::new(2);
 
