@@ -231,14 +231,14 @@ impl StreamingDetector {
         // Frontier: items whose cumulative clicks from some user crossed
         // T_click in this batch.
         let params = self.pipeline.params;
-        let mut crossings: Vec<(UserId, ItemId)> = Vec::new();
+        let mut crossings: BTreeSet<(UserId, ItemId)> = BTreeSet::new();
         let mut frontier: BTreeSet<ItemId> = BTreeSet::new();
         for &(u, v, _) in &valid {
             if self.heavy_pairs.contains(&(u, v)) || crossings.contains(&(u, v)) {
                 continue;
             }
             if self.graph.clicks(u, v).is_some_and(|c| c >= params.t_click) {
-                crossings.push((u, v));
+                crossings.insert((u, v));
                 frontier.insert(v);
             }
         }
@@ -481,6 +481,28 @@ mod tests {
         assert_eq!(s.rejected, 2);
         assert_eq!(s.records, 1);
         assert_eq!(d.graph().num_edges(), 1, "only the valid record landed");
+    }
+
+    #[test]
+    fn duplicate_pairs_inside_one_batch_cross_once() {
+        // The same (u, v) three times in one batch, crossing T_click only
+        // in sum: one crossing per pair, and the same frontier, heavy pairs
+        // and groups as the pre-merged batch.
+        let repeated: Vec<_> = attack_batches().concat();
+        let merged: Vec<_> = (0..12u32)
+            .flat_map(|u| (1..12u32).map(move |v| (UserId(u), ItemId(v), 15)))
+            .chain((0..12u32).map(|u| (UserId(u), ItemId(0), 1)))
+            .collect();
+        let (mut a, mut b) = (detector(), detector());
+        a.ingest(&background());
+        b.ingest(&background());
+        let (sa, sb) = (a.ingest(&repeated), b.ingest(&merged));
+        assert_eq!(sa.frontier_items, 11);
+        assert_eq!(sa.frontier_items, sb.frontier_items);
+        assert_eq!(sa.new_groups, 1);
+        assert_eq!(a.groups(), b.groups());
+        assert_eq!(a.heavy_pairs.len(), 12 * 11);
+        assert_eq!(a.checkpoint().heavy_pairs, b.checkpoint().heavy_pairs);
     }
 
     #[test]

@@ -351,7 +351,21 @@ impl RicdPipeline {
             let _span = root.child("screen");
             timings.time("screen", || screen_groups(g, detected.groups, params))
         }) {
-            Ok((groups, _stats)) => groups,
+            Ok((groups, stats)) => {
+                for (name, count) in [
+                    ("screen.users_removed", stats.users_removed),
+                    ("screen.items_removed", stats.items_removed),
+                    (
+                        "screen.hot_items_reclassified",
+                        stats.hot_items_reclassified,
+                    ),
+                    ("screen.groups_dropped", stats.groups_dropped),
+                    ("screen.edges_walked", stats.edges_walked),
+                ] {
+                    self.metrics.inc_by(name, count as u64);
+                }
+                groups
+            }
             Err(msg) => {
                 return self.degrade(
                     g,

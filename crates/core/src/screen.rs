@@ -26,6 +26,11 @@
 //! detected group's size to avoid the misjudgment of group-buying
 //! phenomenon" — a couple of shoppers re-clicking the same promotion is
 //! risk-control's job, not a crowdsourced campaign).
+//!
+//! Every rule is a per-edge condition, so each is one walk over the group
+//! users' adjacency lists against an item-indexed `MemberTable`: a group
+//! costs `O(|items| + Σ deg(u))` — at most four walks, counted in
+//! [`ScreeningStats::edges_walked`] — never `|users| · |items|` probes.
 
 use crate::params::{RicdParams, ScreeningMode};
 use crate::result::SuspiciousGroup;
@@ -42,224 +47,217 @@ pub struct ScreeningStats {
     pub items_removed: usize,
     /// Groups dropped entirely.
     pub groups_dropped: usize,
+    /// Adjacency entries visited, summed over every walk of every group.
+    pub edges_walked: usize,
 }
 
-/// Screens every group in place according to `params.screening`.
+/// An item set with `O(1)` membership and position lookup, sized to the graph
+/// once per call: a new epoch orphans every older stamp, so switching sets
+/// costs only the new set's length.
+struct MemberTable {
+    /// `stamp[v] == epoch` ⇔ item `v` is in the current set.
+    stamp: Vec<u32>,
+    /// Position of a member in the slice it was stamped from.
+    local: Vec<u32>,
+    epoch: u32,
+}
+
+impl MemberTable {
+    /// Makes `items` (duplicate-free) the current set.
+    fn restamp(&mut self, items: &[ItemId]) {
+        self.epoch = self.epoch.checked_add(1).expect("under 2^32 restamps");
+        for (i, &v) in items.iter().enumerate() {
+            self.stamp[v.index()] = self.epoch;
+            self.local[v.index()] = i as u32;
+        }
+    }
+
+    /// Position of `v` in the current set, if it is a member.
+    fn position(&self, v: ItemId) -> Option<usize> {
+        (self.stamp[v.index()] == self.epoch).then(|| self.local[v.index()] as usize)
+    }
+}
+
+/// One screening pass: what every rule reads, and the per-call scratch.
+struct Pass<'a> {
+    g: &'a BipartiteGraph,
+    params: &'a RicdParams,
+    /// `hot[v]` ⇔ item `v` received ≥ `T_hot` clicks in total.
+    hot: Vec<bool>,
+    members: MemberTable,
+    stats: ScreeningStats,
+}
+
+/// Screens every group according to `params.screening`. A group's `users`
+/// and `items` must be duplicate-free, as detection emits them.
 pub fn screen_groups(
     g: &BipartiteGraph,
     groups: Vec<SuspiciousGroup>,
     params: &RicdParams,
 ) -> (Vec<SuspiciousGroup>, ScreeningStats) {
-    let mut stats = ScreeningStats::default();
     if params.screening == ScreeningMode::None {
-        return (groups, stats);
+        return (groups, ScreeningStats::default());
     }
-    // Hot flags once per graph: per-item total-click scans inside the
-    // per-user loops would make screening O(groups x users x deg).
-    let hot: Vec<bool> = g
-        .all_item_total_clicks()
-        .into_iter()
-        .map(|t| t >= params.t_hot)
-        .collect();
+    let totals = g.all_item_total_clicks();
+    let mut pass = Pass {
+        g,
+        params,
+        hot: totals.into_iter().map(|t| t >= params.t_hot).collect(),
+        members: MemberTable {
+            stamp: vec![0; g.num_items()],
+            local: vec![0; g.num_items()],
+            epoch: 0,
+        },
+        stats: ScreeningStats::default(),
+    };
     let mut out = Vec::with_capacity(groups.len());
     for mut group in groups {
-        user_behavior_check(g, &hot, &mut group, params, &mut stats);
-        if params.screening == ScreeningMode::Full {
-            item_behavior_verification(g, &hot, &mut group, params, &mut stats);
-            drop_disconnected_users(g, &mut group, params, &mut stats);
-            // Distinct seller tasks often share ridden hot items, which glue
-            // their structures into one connected component during
-            // detection. Once hot items and camouflage are gone, the real
-            // group boundary is connectivity through *heavy* edges —
-            // re-split so each output group is one attack task (the
-            // granularity of the paper's `g = {g₁…gₙ}` and case study).
-            let splits = split_by_heavy_edges(g, &group, params);
-            if splits.is_empty() {
-                stats.groups_dropped += 1;
+        pass.user_behavior_check(&mut group);
+        // Property 4b: a reportable group needs real group scale.
+        let (splits, min_items) = if params.screening == ScreeningMode::Full {
+            pass.item_behavior_verification(&mut group);
+            (pass.split_by_heavy_edges(&group), params.min_group_targets)
+        } else {
+            (vec![group], 1)
+        };
+        if splits.is_empty() {
+            pass.stats.groups_dropped += 1;
+        }
+        for split in splits {
+            if split.users.len() >= params.min_group_users && split.items.len() >= min_items {
+                out.push(split);
+            } else {
+                pass.stats.groups_dropped += 1;
             }
-            for split in splits {
-                // Property 4b: a reportable group needs real group scale.
-                if split.users.len() >= params.min_group_users
-                    && split.items.len() >= params.min_group_targets
-                {
-                    out.push(split);
-                } else {
-                    stats.groups_dropped += 1;
+        }
+    }
+    (out, pass.stats)
+}
+
+impl Pass<'_> {
+    /// Accounts for one walk over the adjacency lists of `users`.
+    fn count_walk(&mut self, users: &[UserId]) {
+        self.stats.edges_walked += users.iter().map(|&u| self.g.user_degree(u)).sum::<usize>();
+    }
+
+    /// Positions in `members` of the items `u` clicked ≥ `T_click` times.
+    fn heavy_members(&self, u: UserId) -> impl Iterator<Item = usize> + '_ {
+        let neighbors = self.g.user_neighbors(u);
+        let heavy = neighbors.filter(|&(_, c)| c >= self.params.t_click);
+        heavy.filter_map(|(v, _)| self.members.position(v))
+    }
+
+    /// True if `u` exhibits the crowd-worker click signature.
+    ///
+    /// Characteristic (1) is checked *within the group* (the `members`) —
+    /// some ordinary group item carries ≥ `T_click` of `u`'s clicks.
+    /// Characteristic (2) — "the average number of clicks of hot items is
+    /// extremely small (< 4)" — is checked over `u`'s **whole click record**,
+    /// exactly like the Section IV Table III/IV analysis: an experienced
+    /// worker's organic history keeps the global hot average low, while a
+    /// genuine hot-item fan (Table IV's user: 19, 4, … on hot items) exceeds it.
+    fn user_is_suspicious(&self, u: UserId) -> bool {
+        let mut has_heavy_ordinary = false;
+        let (mut hot_clicks, mut hot_count) = (0u64, 0u64);
+        for (v, c) in self.g.user_neighbors(u) {
+            if self.hot[v.index()] {
+                hot_clicks += c as u64;
+                hot_count += 1;
+            } else if c >= self.params.t_click && self.members.position(v).is_some() {
+                has_heavy_ordinary = true;
+            }
+        }
+        // Characteristic (2): hot items, if clicked at all, are clicked lightly.
+        has_heavy_ordinary
+            && (hot_count == 0 || (hot_clicks as f64 / hot_count as f64) < self.params.hot_avg_max)
+    }
+
+    fn user_behavior_check(&mut self, group: &mut SuspiciousGroup) {
+        self.members.restamp(&group.items);
+        self.count_walk(&group.users);
+        let before = group.users.len();
+        group.users.retain(|&u| self.user_is_suspicious(u));
+        self.stats.users_removed += before - group.users.len();
+    }
+
+    fn item_behavior_verification(&mut self, group: &mut SuspiciousGroup) {
+        // Coincidence of heavy clickers: how many surviving users hammer each item?
+        self.count_walk(&group.users);
+        let mut support = vec![0usize; group.items.len()];
+        for &u in &group.users {
+            for i in self.heavy_members(u) {
+                support[i] += 1;
+            }
+        }
+        let mut kept = Vec::with_capacity(group.items.len());
+        for (&v, &heavy_clickers) in group.items.iter().zip(&support) {
+            if self.hot[v.index()] {
+                group.ridden_hot_items.push(v);
+                self.stats.hot_items_reclassified += 1;
+            } else if heavy_clickers >= self.params.min_target_support {
+                kept.push(v);
+            } else {
+                self.stats.items_removed += 1;
+            }
+        }
+        group.items = kept;
+        group.ridden_hot_items.sort_unstable();
+        group.ridden_hot_items.dedup();
+    }
+
+    /// Splits a screened group into connected components over its heavy
+    /// (`clicks ≥ T_click`) user–item edges: seller tasks that share ridden
+    /// hot items are glued into one component during detection, and with hot
+    /// items and camouflage gone each heavy component is one attack task (the
+    /// granularity of the paper's `g = {g₁…gₙ}` and case study). Ridden hot
+    /// items are attributed to every split whose users clicked them.
+    fn split_by_heavy_edges(&mut self, group: &SuspiciousGroup) -> Vec<SuspiciousGroup> {
+        // Union-find over local indices: users then items.
+        let nu = group.users.len();
+        let n = nu + group.items.len();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        self.members.restamp(&group.items);
+        self.count_walk(&group.users);
+        for (ui, &u) in group.users.iter().enumerate() {
+            for vi in self.heavy_members(u) {
+                let (a, b) = (find(&mut parent, ui), find(&mut parent, nu + vi));
+                parent[a] = b;
+            }
+        }
+        // One slot per node; a component gathers in its root's slot.
+        let mut out = vec![SuspiciousGroup::default(); n];
+        for (ui, &u) in group.users.iter().enumerate() {
+            out[find(&mut parent, ui)].users.push(u);
+        }
+        for (ii, &v) in group.items.iter().enumerate() {
+            out[find(&mut parent, nu + ii)].items.push(v);
+        }
+        // An item-less slot is a user whose heavy edges all hit removed items.
+        out.retain(|s| !s.items.is_empty());
+        self.stats.users_removed += nu - out.iter().map(|s| s.users.len()).sum::<usize>();
+        // Deterministic order: by first user id.
+        out.sort_by_key(|s| (s.users.first().copied(), s.items.first().copied()));
+        self.members.restamp(&group.ridden_hot_items);
+        let mut last_split = vec![usize::MAX; group.ridden_hot_items.len()];
+        for (si, s) in out.iter_mut().enumerate() {
+            self.count_walk(&s.users);
+            for &v in s.users.iter().flat_map(|&u| self.g.user_adjacency(u)) {
+                if let Some(h) = self.members.position(v).filter(|&h| last_split[h] != si) {
+                    last_split[h] = si;
+                    s.ridden_hot_items.push(v);
                 }
             }
-            continue;
+            s.ridden_hot_items.sort_unstable();
         }
-        if group.users.len() >= params.min_group_users && !group.items.is_empty() {
-            out.push(group);
-        } else {
-            stats.groups_dropped += 1;
-        }
+        out
     }
-    (out, stats)
-}
-
-/// Splits a screened group into connected components over its heavy
-/// (`clicks ≥ T_click`) user–item edges. Ridden hot items are attributed to
-/// every split whose users clicked them.
-fn split_by_heavy_edges(
-    g: &BipartiteGraph,
-    group: &SuspiciousGroup,
-    params: &RicdParams,
-) -> Vec<SuspiciousGroup> {
-    // Union-find over local indices: users then items.
-    let nu = group.users.len();
-    let n = nu + group.items.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let item_local: std::collections::HashMap<ItemId, usize> = group
-        .items
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, nu + i))
-        .collect();
-    for (ui, &u) in group.users.iter().enumerate() {
-        for (v, c) in g.user_neighbors(u) {
-            if c >= params.t_click {
-                if let Some(&vi) = item_local.get(&v) {
-                    let (a, b) = (find(&mut parent, ui), find(&mut parent, vi));
-                    parent[a] = b;
-                }
-            }
-        }
-    }
-    let mut splits: std::collections::HashMap<usize, SuspiciousGroup> =
-        std::collections::HashMap::new();
-    for (ui, &u) in group.users.iter().enumerate() {
-        splits
-            .entry(find(&mut parent, ui))
-            .or_default()
-            .users
-            .push(u);
-    }
-    for (ii, &v) in group.items.iter().enumerate() {
-        splits
-            .entry(find(&mut parent, nu + ii))
-            .or_default()
-            .items
-            .push(v);
-    }
-    let mut out: Vec<SuspiciousGroup> = splits.into_values().collect();
-    // Deterministic order: by first user id.
-    out.sort_by_key(|s| (s.users.first().copied(), s.items.first().copied()));
-    for s in &mut out {
-        // Attribute each ridden hot item to the splits whose users touch it.
-        s.ridden_hot_items = group
-            .ridden_hot_items
-            .iter()
-            .copied()
-            .filter(|&h| s.users.iter().any(|&u| g.clicks(u, h).is_some()))
-            .collect();
-    }
-    out
-}
-
-/// True if `u` exhibits the crowd-worker click signature.
-///
-/// Characteristic (1) is checked *within the group* — some ordinary group
-/// item carries ≥ `T_click` of `u`'s clicks. Characteristic (2) — "the
-/// average number of clicks of hot items is extremely small (< 4)" — is
-/// checked over `u`'s **whole click record**, exactly like the Section IV
-/// Table III/IV analysis: an experienced worker's organic history keeps the
-/// global hot average low, while a genuine hot-item fan (Table IV's user:
-/// 19, 4, … clicks on hot items) exceeds it.
-fn user_is_suspicious(
-    g: &BipartiteGraph,
-    hot: &[bool],
-    u: UserId,
-    group_items: &[ItemId],
-    params: &RicdParams,
-) -> bool {
-    let has_heavy_ordinary = group_items
-        .iter()
-        .any(|&v| !hot[v.index()] && g.clicks(u, v).is_some_and(|c| c >= params.t_click));
-    if !has_heavy_ordinary {
-        return false;
-    }
-    let mut hot_clicks = 0u64;
-    let mut hot_count = 0u64;
-    for (v, c) in g.user_neighbors(u) {
-        if hot[v.index()] {
-            hot_clicks += c as u64;
-            hot_count += 1;
-        }
-    }
-    // Characteristic (2): hot items, if clicked at all, are clicked lightly.
-    hot_count == 0 || (hot_clicks as f64 / hot_count as f64) < params.hot_avg_max
-}
-
-fn user_behavior_check(
-    g: &BipartiteGraph,
-    hot: &[bool],
-    group: &mut SuspiciousGroup,
-    params: &RicdParams,
-    stats: &mut ScreeningStats,
-) {
-    let items = group.items.clone();
-    let before = group.users.len();
-    group
-        .users
-        .retain(|&u| user_is_suspicious(g, hot, u, &items, params));
-    stats.users_removed += before - group.users.len();
-}
-
-fn item_behavior_verification(
-    g: &BipartiteGraph,
-    hot: &[bool],
-    group: &mut SuspiciousGroup,
-    params: &RicdParams,
-    stats: &mut ScreeningStats,
-) {
-    let users = group.users.clone();
-    let mut kept = Vec::with_capacity(group.items.len());
-    for &v in &group.items {
-        if hot[v.index()] {
-            group.ridden_hot_items.push(v);
-            stats.hot_items_reclassified += 1;
-            continue;
-        }
-        // Coincidence of heavy clickers: how many of the group's surviving
-        // (abnormal) users hammer this item?
-        let support = users
-            .iter()
-            .filter(|&&u| g.clicks(u, v).is_some_and(|c| c >= params.t_click))
-            .count();
-        if support >= params.min_target_support {
-            kept.push(v);
-        } else {
-            stats.items_removed += 1;
-        }
-    }
-    group.items = kept;
-    group.ridden_hot_items.sort_unstable();
-    group.ridden_hot_items.dedup();
-}
-
-/// A user whose heavy edges all pointed at removed items no longer belongs.
-fn drop_disconnected_users(
-    g: &BipartiteGraph,
-    group: &mut SuspiciousGroup,
-    params: &RicdParams,
-    stats: &mut ScreeningStats,
-) {
-    let items = group.items.clone();
-    let before = group.users.len();
-    group.users.retain(|&u| {
-        items
-            .iter()
-            .any(|&v| g.clicks(u, v).is_some_and(|c| c >= params.t_click))
-    });
-    stats.users_removed += before - group.users.len();
 }
 
 #[cfg(test)]
@@ -361,26 +359,40 @@ mod tests {
         // A user whose only heavy clicks are on the hot item is a fan, not a
         // worker.
         let g = scenario();
-        let p = params();
-        let hot: Vec<bool> = g
-            .all_item_total_clicks()
-            .into_iter()
-            .map(|t| t >= p.t_hot)
-            .collect();
-        assert!(!user_is_suspicious(
-            &g,
-            &hot,
-            UserId(3),
-            &[ItemId(0), ItemId(1)],
-            &p
-        ));
-        assert!(user_is_suspicious(
-            &g,
-            &hot,
-            UserId(0),
-            &[ItemId(0), ItemId(1)],
-            &p
-        ));
+        let p = RicdParams {
+            screening: ScreeningMode::UserCheckOnly,
+            min_group_users: 1,
+            ..params()
+        };
+        let grp = SuspiciousGroup {
+            users: vec![UserId(0), UserId(3)],
+            items: vec![ItemId(0), ItemId(1)],
+            ridden_hot_items: vec![],
+        };
+        let (out, stats) = screen_groups(&g, vec![grp], &p);
+        assert_eq!(out[0].users, vec![UserId(0)]);
+        assert_eq!(stats.users_removed, 1);
+    }
+
+    #[test]
+    fn walks_are_linear_in_the_group_users_edges() {
+        // The cost bound as a count: whatever the users × items product,
+        // screening visits each group user's adjacency list at most four
+        // times (user check, item support, heavy-edge split, ridden-hot
+        // attribution).
+        let g = scenario();
+        let degree_sum: usize = group().users.iter().map(|&u| g.user_degree(u)).sum();
+        let (out, stats) = screen_groups(&g, vec![group()], &params());
+        assert_eq!(out.len(), 1);
+        assert!(
+            stats.edges_walked >= degree_sum,
+            "the user check walks everyone"
+        );
+        assert!(
+            stats.edges_walked <= 4 * degree_sum,
+            "{} edges walked for a degree sum of {degree_sum}",
+            stats.edges_walked
+        );
     }
 
     #[test]

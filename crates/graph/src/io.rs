@@ -103,10 +103,16 @@ fn parse_record(trimmed: &str, idx: usize) -> Result<(u32, u32, u32), IoError> {
 
 /// Parses a TSV click table. Blank lines and lines starting with `#` are
 /// skipped; duplicate pairs are merged by summation (builder semantics).
-pub fn read_tsv<R: BufRead>(r: R) -> Result<BipartiteGraph, IoError> {
+pub fn read_tsv<R: BufRead>(mut r: R) -> Result<BipartiteGraph, IoError> {
     let mut b = GraphBuilder::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
+    // One buffer for every line: `lines()` would allocate a `String` per
+    // record.
+    let mut line = String::new();
+    for idx in 0.. {
+        line.clear();
+        if r.read_line(&mut line)? == 0 {
+            break;
+        }
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -314,6 +320,29 @@ mod tests {
             read_tsv(text.as_bytes()),
             Err(IoError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn tsv_accepts_crlf_line_endings() {
+        let text = "# header\r\n0\t0\t2\r\n\r\n1\t1\t3\r\n2\t2\r\n";
+        // Strict: records before the bad line parse, and the bad line keeps
+        // its 1-based number (comment and blank lines count).
+        match read_tsv(text.as_bytes()) {
+            Err(IoError::Parse { line, message }) => {
+                assert_eq!(line, 5);
+                assert!(message.contains("missing click count"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        let clean = &text[..text.len() - "2\t2\r\n".len()];
+        let g = read_tsv(clean.as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.clicks(UserId(1), ItemId(1)), Some(3));
+        // Lossy: same records, same line number, quarantined.
+        let r = read_tsv_lossy(text.as_bytes()).unwrap();
+        assert_eq!(r.graph.num_edges(), 2);
+        let lines: Vec<usize> = r.errors.iter().map(|e| e.line).collect();
+        assert_eq!(lines, vec![5]);
     }
 
     #[test]

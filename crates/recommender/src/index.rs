@@ -20,10 +20,7 @@ pub struct I2iIndex {
 impl I2iIndex {
     /// Builds the index with `n_per_item` entries per anchor.
     pub fn build(g: &BipartiteGraph, n_per_item: usize, pool: &WorkerPool) -> Self {
-        let lists = pool.map_vertices(g.num_items(), |anchor| {
-            build_list(g, ItemId(anchor as u32), n_per_item, &[])
-        });
-        Self { lists }
+        Self::build_cleaned(g, n_per_item, pool, &[])
     }
 
     /// Builds the **cleaned** index: wedges through `excluded_users` (a
@@ -39,10 +36,27 @@ impl I2iIndex {
         excluded_users: &[UserId],
     ) -> Self {
         debug_assert!(excluded_users.windows(2).all(|w| w[0] <= w[1]));
-        let lists = pool.map_vertices(g.num_items(), |anchor| {
-            build_list(g, ItemId(anchor as u32), n_per_item, excluded_users)
+        // One count table per partition, reused across its anchors.
+        let chunks = pool.run_partitioned(g.num_items(), |anchors| {
+            let mut scratch = CoClicks {
+                counts: vec![0; g.num_items()],
+                touched: Vec::new(),
+            };
+            anchors
+                .map(|a| {
+                    build_list(
+                        g,
+                        ItemId(a as u32),
+                        n_per_item,
+                        excluded_users,
+                        &mut scratch,
+                    )
+                })
+                .collect::<Vec<_>>()
         });
-        Self { lists }
+        Self {
+            lists: chunks.into_iter().flatten().collect(),
+        }
     }
 
     /// The recommendation list for an anchor item (empty if the anchor has
@@ -76,31 +90,44 @@ impl I2iIndex {
     }
 }
 
+/// Wedge-accumulation scratch: a dense co-click count per item, plus the
+/// items whose count is non-zero, through which the table is zeroed again
+/// after each anchor (so an anchor costs its wedges, not `num_items`).
+struct CoClicks {
+    counts: Vec<u64>,
+    touched: Vec<ItemId>,
+}
+
 fn build_list(
     g: &BipartiteGraph,
     anchor: ItemId,
     n: usize,
     excluded_users: &[UserId],
+    scratch: &mut CoClicks,
 ) -> Vec<(ItemId, f32)> {
-    // Wedge accumulation of co-click counts.
-    let mut counts: std::collections::HashMap<ItemId, u64> = std::collections::HashMap::new();
+    let CoClicks { counts, touched } = scratch;
+    let mut total = 0u64;
     for (u, _) in g.item_neighbors(anchor) {
         if excluded_users.binary_search(&u).is_ok() {
             continue;
         }
         for (v, c) in g.user_neighbors(u) {
             if v != anchor {
-                *counts.entry(v).or_default() += c as u64;
+                // Click counts are ≥ 1, so a zero count means "not yet seen".
+                if counts[v.index()] == 0 {
+                    touched.push(v);
+                }
+                counts[v.index()] += c as u64;
+                total += c as u64;
             }
         }
     }
-    let total: u64 = counts.values().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut scored: Vec<(ItemId, f32)> = counts
-        .into_iter()
-        .map(|(v, c)| (v, (c as f64 / total as f64) as f32))
+    let mut scored: Vec<(ItemId, f32)> = touched
+        .drain(..)
+        .map(|v| {
+            let c = std::mem::take(&mut counts[v.index()]);
+            (v, (c as f64 / total as f64) as f32)
+        })
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     scored.truncate(n);
