@@ -52,7 +52,7 @@ pub fn cn_communities(
         let mut local = Vec::new();
         for u in range {
             let uid = UserId(u as u32);
-            twohop::for_each_user_common_neighbor(&view, uid, &mut scratch, |other, count| {
+            twohop::for_each_common_neighbor(&view, uid, &mut scratch, |other, count| {
                 if other.0 > u as u32 && count >= params.cn_threshold {
                     local.push((u as u32, other.0));
                 }

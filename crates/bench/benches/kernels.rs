@@ -20,8 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ricd_core::kernel::{HUB_MAX_COUNT, HUB_MIN_DEGREE};
 use ricd_graph::twohop::{
-    blocked_user_has_qualified_neighbors, user_has_qualified_neighbors, CommonNeighborScratch,
-    HubBitmaps, KernelScratch,
+    blocked_has_qualified_neighbors, has_qualified_neighbors, CommonNeighborScratch, HubBitmaps,
+    KernelScratch,
 };
 use ricd_graph::{BipartiteGraph, GraphBuilder, GraphView, ItemId, UserId};
 use std::hint::black_box;
@@ -147,9 +147,9 @@ fn bench(c: &mut Criterion) {
             let mut w = CommonNeighborScratch::new(shape.g.num_users());
             let mut k = KernelScratch::new(shape.g.num_users());
             for &u in &shape.anchors {
-                let want = user_has_qualified_neighbors(&view, u, bound, need, &mut w);
+                let want = has_qualified_neighbors(&view, u, bound, need, &mut w);
                 assert_eq!(
-                    blocked_user_has_qualified_neighbors(&view, &hubs, u, bound, need, &mut k),
+                    blocked_has_qualified_neighbors(&view, &hubs.items, u, bound, need, &mut k),
                     want
                 );
             }
@@ -160,13 +160,8 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut survivors = 0u32;
                 for &u in &shape.anchors {
-                    survivors += u32::from(user_has_qualified_neighbors(
-                        &view,
-                        u,
-                        bound,
-                        need,
-                        &mut scratch,
-                    ));
+                    survivors +=
+                        u32::from(has_qualified_neighbors(&view, u, bound, need, &mut scratch));
                 }
                 black_box(survivors)
             })
@@ -177,9 +172,9 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut survivors = 0u32;
                 for &u in &shape.anchors {
-                    survivors += u32::from(blocked_user_has_qualified_neighbors(
+                    survivors += u32::from(blocked_has_qualified_neighbors(
                         &view,
-                        &hubs,
+                        &hubs.items,
                         u,
                         bound,
                         need,

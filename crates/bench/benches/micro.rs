@@ -46,7 +46,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for u in 0..100u32 {
-                twohop::for_each_user_common_neighbor(&view, UserId(u), &mut scratch, |_, c| {
+                twohop::for_each_common_neighbor(&view, UserId(u), &mut scratch, |_, c| {
                     acc += c as u64;
                 });
             }

@@ -84,13 +84,18 @@ fn seed_ball(g: &BipartiteGraph, seeds: &Seeds) -> (Vec<UserId>, Vec<ItemId>) {
 /// The working view Algorithm 2 starts from: the full graph without seeds,
 /// or the two-hop seed ball with them. Shared with the sharded runtime so
 /// both paths search the identical region.
+///
+/// A seed id the graph does not have has no ball, so it is dropped; seeds
+/// that are *all* out of range leave the empty ball, not the unseeded run.
 pub(crate) fn starting_view<'g>(g: &'g BipartiteGraph, seeds: &Seeds) -> GraphView<'g> {
     if seeds.is_empty() {
-        GraphView::full(g)
-    } else {
-        let (users, items) = seed_ball(g, seeds);
-        GraphView::restricted(g, users, items)
+        return GraphView::full(g);
     }
+    let mut known = seeds.clone();
+    known.users.retain(|u| u.index() < g.num_users());
+    known.items.retain(|v| v.index() < g.num_items());
+    let (users, items) = seed_ball(g, &known);
+    GraphView::restricted(g, users, items)
 }
 
 /// Runs the full detection module on `g` with the default
@@ -226,6 +231,52 @@ mod tests {
             SquareStrategy::Parallel,
         );
         assert!(out.groups.is_empty());
+    }
+
+    /// A seed id the graph does not have has no ball. Seeds that are all
+    /// out of range must give the empty ball — not index past the CSR, and
+    /// not fall through to the unseeded full run (which finds 2 groups) —
+    /// on the library paths as a complete run, not a degraded one.
+    #[test]
+    fn out_of_range_seeds_have_no_ball() {
+        use crate::pipeline::RicdPipeline;
+        use crate::result::RunStatus;
+        use crate::shard_run::ShardConfig;
+
+        let g = graph();
+        let absent = Seeds {
+            users: vec![UserId(999_999_999)],
+            items: vec![ItemId(g.num_items() as u32)],
+        };
+        let view = starting_view(&g, &absent);
+        assert_eq!((view.alive_users(), view.alive_items()), (0, 0));
+
+        let pipeline = RicdPipeline::new(RicdParams::default())
+            .with_pool(WorkerPool::new(2))
+            .with_seeds(absent);
+        let sharded = ShardConfig {
+            shards: Some(2),
+            max_users: None,
+        };
+        for result in [pipeline.run(&g), pipeline.run_sharded(&g, &sharded)] {
+            assert!(result.groups.is_empty());
+            assert_eq!(result.status, RunStatus::Complete);
+        }
+
+        // An absent seed next to a real one is dropped, the real one kept.
+        let mixed = Seeds {
+            users: vec![UserId(999_999_999)],
+            items: vec![ItemId(0)],
+        };
+        let out = detect_groups(
+            &g,
+            &mixed,
+            &RicdParams::default(),
+            &WorkerPool::new(2),
+            SquareStrategy::Parallel,
+        );
+        assert_eq!(out.groups.len(), 1);
+        assert!(out.groups[0].items.contains(&ItemId(0)));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! is generic over the view ([`PruneView`]), so unsharded detection, every
 //! shard-local prune and the sharded reconciliation are the same call on
 //! different views ([`crate::shard_run`]); a hash shard additionally pins
-//! its halo users and boundary items through [`Removable`] masks.
+//! its halo users and boundary items through [`Removable`] masks. Each rule
+//! is written once, for the user side of the view it is handed; the item
+//! side is the same pass on the [`Transposed`] view with the two per-side
+//! states (`Side`) exchanged.
 //!
 //! Two execution strategies are provided:
 //!
@@ -50,8 +53,8 @@ use crate::kernel::{self, KernelTally};
 use crate::params::RicdParams;
 use ricd_engine::WorkerPool;
 use ricd_graph::frontier::{self, FrontierScratch};
-use ricd_graph::twohop::{self, CommonNeighborScratch, HubBitmaps, KernelScratch};
-use ricd_graph::{GraphView, InducedSubgraph, ItemId, PruneView, UserId};
+use ricd_graph::twohop::{self, CommonNeighborScratch, HubBitmaps, HubSide, KernelScratch};
+use ricd_graph::{GraphView, InducedSubgraph, ItemId, NeighborView, PruneView, Transposed, UserId};
 use ricd_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,18 +160,6 @@ pub struct Removable<'a> {
     pub items: Option<&'a [bool]>,
 }
 
-impl Removable<'_> {
-    #[inline]
-    fn user(&self, u: UserId) -> bool {
-        self.users.is_none_or(|m| m[u.index()])
-    }
-
-    #[inline]
-    fn item(&self, v: ItemId) -> bool {
-        self.items.is_none_or(|m| m[v.index()])
-    }
-}
-
 /// Compact the view once fewer than 1 in `COMPACT_ALIVE_DIVISOR` vertices
 /// are still alive…
 const COMPACT_ALIVE_DIVISOR: usize = 4;
@@ -234,17 +225,10 @@ pub(crate) fn core_prune<V: PruneView + Sync>(
     params: &RicdParams,
     pool: &WorkerPool,
 ) -> (usize, usize) {
-    let ctx = FixpointCtx {
-        params,
-        pool,
-        strategy: SquareStrategy::default(),
-        mode: FixpointMode::default(),
-        metrics: None,
-        removable: Removable::default(),
-    };
-    let mut fscratch = FrontierScratch::for_view(view);
-    let (users, items) = (alive_user_ids(view), alive_item_ids(view));
-    core_pruning(&mut Pruned::new(view), &ctx, users, items, &mut fscratch)
+    let (mut users, mut items) = sides(view, params, Removable::default());
+    let (user_seeds, item_seeds) = (alive_ids(view), alive_ids(&Transposed(&*view)));
+    core_pruning(view, &mut users, &mut items, pool, user_seeds, item_seeds);
+    (users.core_removed, items.core_removed)
 }
 
 /// Immutable per-run configuration threaded through the fixpoint.
@@ -258,47 +242,91 @@ struct FixpointCtx<'a> {
     removable: Removable<'a>,
 }
 
-/// The view being pruned plus the log of what this fixpoint level removed
-/// from it, in removal order. Every removal the fixpoint makes goes through
-/// here, so "what disappeared since pass X last ran?" is a suffix of the
-/// log and each pass derives its next dirty frontier from it.
-struct Pruned<'v, V> {
-    view: &'v mut V,
-    users: Vec<UserId>,
-    items: Vec<ItemId>,
+/// One side's share of a fixpoint level: its bounds, its mask, and what
+/// its passes keep between rounds.
+///
+/// Algorithm 3 states each rule once, for "a vertex", with `(k₁, k₂)`
+/// swapped by side, and so does this module: every pass below is written
+/// for the **user** side of the view it is handed and takes `(this, other)`
+/// sides. The item side is the same call on the [`Transposed`] view with
+/// the two `Side`s exchanged.
+struct Side<'a> {
+    /// Lemma 1: the minimum live degree.
+    degree_bound: usize,
+    /// Lemma 2: `k` same-side partners sharing ≥ `common_bound` neighbors.
+    common_bound: u32,
+    k: usize,
+    /// Which of these vertices may be removed; `None` means all.
+    mask: Option<&'a [bool]>,
+    /// What this level removed on this side, in removal order. Every
+    /// removal the fixpoint makes is logged, so "what disappeared since
+    /// pass X last ran?" is a suffix of the two logs and each pass derives
+    /// its next dirty frontier from it.
+    log: Vec<u32>,
+    /// How much of `log` CorePruning has propagated (all of it whenever
+    /// CorePruning returns, because it runs to its own fixpoint).
+    core_mark: usize,
+    /// Where this side's SquarePruning pass last started, as positions in
+    /// `(this log, the other side's log)`.
+    square_mark: (usize, usize),
+    seen: FrontierScratch,
+    scratch: ScratchPool,
+    core_removed: usize,
+    square_removed: usize,
+    dirty: usize,
+    skipped: usize,
 }
 
-/// A position in a [`Pruned`] log: `(users logged, items logged)`.
-type LogMark = (usize, usize);
-
-impl<'v, V: PruneView> Pruned<'v, V> {
-    fn new(view: &'v mut V) -> Self {
-        Self {
-            view,
-            users: Vec::new(),
-            items: Vec::new(),
-        }
+impl Side<'_> {
+    #[inline]
+    fn removable(&self, id: u32) -> bool {
+        self.mask.is_none_or(|m| m[id as usize])
     }
+}
 
-    /// Removes an **alive** user (callers check), logging it once.
-    fn remove_user(&mut self, u: UserId) {
-        self.view.remove_user(u);
-        self.users.push(u);
-    }
+/// Removes an **alive** user of `view` (callers check), logging it once.
+fn remove<T: PruneView>(view: &mut T, log: &mut Vec<u32>, u: u32) {
+    view.remove_user(UserId(u));
+    log.push(u);
+}
 
-    /// Removes an **alive** item (callers check), logging it once.
-    fn remove_item(&mut self, v: ItemId) {
-        self.view.remove_item(v);
-        self.items.push(v);
-    }
-
-    fn mark(&self) -> LogMark {
-        (self.users.len(), self.items.len())
-    }
-
-    fn since(&self, mark: LogMark) -> (&[UserId], &[ItemId]) {
-        (&self.users[mark.0..], &self.items[mark.1..])
-    }
+/// The `(user, item)` sides of a fresh fixpoint level on `view`.
+fn sides<'a, V: PruneView>(
+    view: &V,
+    params: &RicdParams,
+    removable: Removable<'a>,
+) -> (Side<'a>, Side<'a>) {
+    let side = |n, mask, degree_bound, common_bound, k| Side {
+        degree_bound,
+        common_bound,
+        k,
+        mask,
+        log: Vec::new(),
+        core_mark: 0,
+        square_mark: (0, 0),
+        seen: FrontierScratch::new(n),
+        scratch: ScratchPool::new(n),
+        core_removed: 0,
+        square_removed: 0,
+        dirty: 0,
+        skipped: 0,
+    };
+    (
+        side(
+            view.num_users(),
+            removable.users,
+            params.user_degree_bound(),
+            params.user_common_bound(),
+            params.k1,
+        ),
+        side(
+            view.num_items(),
+            removable.items,
+            params.item_degree_bound(),
+            params.item_common_bound(),
+            params.k2,
+        ),
+    )
 }
 
 /// Pending worklists handed across a compaction boundary (already in the
@@ -325,10 +353,7 @@ fn run_fixpoint<V: PruneView + Sync>(
     start_round: usize,
     stats: &mut ExtractionStats,
 ) {
-    let user_scratch = ScratchPool::new(view.num_users());
-    let item_scratch = ScratchPool::new(view.num_items());
-    let mut fscratch = FrontierScratch::for_view(view);
-    let mut pv = Pruned::new(view);
+    let (mut users, mut items) = sides(view, ctx.params, ctx.removable);
     // Hub bitmaps are built at most once per fixpoint level — lazily,
     // after the first CorePruning fixpoint has collapsed the degree
     // distribution — and stay sound for every later round (monotone
@@ -338,12 +363,6 @@ fn run_fixpoint<V: PruneView + Sync>(
     let round_hist = ctx
         .metrics
         .map(|m| m.duration_histogram("extract.round_nanos"));
-    // Per-pass log positions: each pass's next frontier is derived from
-    // everything removed since it last ran (for CorePruning: since it last
-    // *finished*, because it runs to its own fixpoint).
-    let mut core_mark = pv.mark();
-    let mut sq_user_mark = pv.mark();
-    let mut sq_item_mark = pv.mark();
     let mut carry = carryover;
 
     for round in start_round..=ctx.params.max_rounds {
@@ -358,22 +377,20 @@ fn run_fixpoint<V: PruneView + Sync>(
 
         // --- CorePruning, to its own fixpoint ---
         let (mut seed_users, mut seed_items) = if full {
-            (alive_user_ids(pv.view), alive_item_ids(pv.view))
+            (alive_ids(view), alive_ids(&Transposed(&*view)))
         } else {
-            let (ru, ri) = pv.since(core_mark);
             (
-                frontier::core_dirty_users(pv.view, ri, &mut fscratch),
-                frontier::core_dirty_items(pv.view, ru, &mut fscratch),
+                core_frontier(view, &mut users, &items),
+                core_frontier(&Transposed(&*view), &mut items, &users),
             )
         };
         if let Some(c) = &carry_now {
             merge_sorted(&mut seed_users, &c.core_users);
             merge_sorted(&mut seed_items, &c.core_items);
         }
-        let core = core_pruning(&mut pv, ctx, seed_users, seed_items, &mut fscratch);
-        core_mark = pv.mark();
-        stats.core_removed_users += core.0;
-        stats.core_removed_items += core.1;
+        core_pruning(
+            view, &mut users, &mut items, ctx.pool, seed_users, seed_items,
+        );
 
         // Whether this round's square passes re-check everything: a genuinely
         // full round, or the resumption of one interrupted by a mid-round
@@ -385,12 +402,11 @@ fn run_fixpoint<V: PruneView + Sync>(
         // can kill the vast majority of vertices, and every SquarePruning
         // wedge walk on the original CSR still pays to skip the dead
         // adjacency entries. The square passes resume on the dense copy.
-        if matches!(ctx.mode, FixpointMode::Delta) && should_compact(pv.view) {
-            if let Some(sub) = pv.view.compact() {
-                let marks = [core_mark, sq_user_mark, sq_item_mark];
-                let carry = carry_into(&sub, &pv, marks, square_full, &mut fscratch);
-                resume_compacted(pv.view, &sub, ctx, carry, round, stats);
-                return;
+        if matches!(ctx.mode, FixpointMode::Delta) && should_compact(view) {
+            if let Some(sub) = view.compact() {
+                let carry = carry_into(&sub, view, &mut users, &mut items, square_full);
+                resume_compacted(view, &sub, ctx, carry, round, stats);
+                break;
             }
         }
 
@@ -406,34 +422,30 @@ fn run_fixpoint<V: PruneView + Sync>(
             _ => (None, None),
         };
         if matches!(ctx.strategy, SquareStrategy::Parallel) && hubs.is_none() {
-            let h = kernel::build_hubs(pv.view);
+            let h = kernel::build_hubs(view);
             stats.hub_bitmap_bytes = stats.hub_bitmap_bytes.max(h.heap_bytes());
             hubs = Some(h);
         }
-        let sq_users = square_user_round(
-            &mut pv,
+        let sq_users = square_round(
+            view,
+            &mut users,
+            &mut items,
             ctx,
             square_full,
-            &mut sq_user_mark,
             carry_sq_users,
-            &mut fscratch,
-            &user_scratch,
-            hubs.as_ref(),
+            hubs.as_ref().map(|h| &h.items),
             stats,
         );
-        let sq_items = square_item_round(
-            &mut pv,
+        let sq_items = square_round(
+            &mut Transposed(&mut *view),
+            &mut items,
+            &mut users,
             ctx,
             square_full,
-            &mut sq_item_mark,
             carry_sq_items,
-            &mut fscratch,
-            &item_scratch,
-            hubs.as_ref(),
+            hubs.as_ref().map(|h| &h.users),
             stats,
         );
-        stats.square_removed_users += sq_users;
-        stats.square_removed_items += sq_items;
 
         if let (Some(h), Some(t0)) = (&round_hist, round_started) {
             let clock = ctx.metrics.unwrap().clock();
@@ -447,6 +459,14 @@ fn run_fixpoint<V: PruneView + Sync>(
             break;
         }
     }
+    stats.core_removed_users += users.core_removed;
+    stats.core_removed_items += items.core_removed;
+    stats.square_removed_users += users.square_removed;
+    stats.square_removed_items += items.square_removed;
+    stats.dirty_users += users.dirty;
+    stats.dirty_items += items.dirty;
+    stats.skipped_users += users.skipped;
+    stats.skipped_items += items.skipped;
 }
 
 /// True once the view is mostly corpses and big enough that rebuilding a
@@ -458,22 +478,45 @@ fn should_compact<V: PruneView>(view: &V) -> bool {
     alive > 0 && total >= COMPACT_MIN_VERTICES && alive * COMPACT_ALIVE_DIVISOR < total
 }
 
-/// The pending frontiers of the three passes (`marks`: core, square-user,
-/// square-item), derived in the parent id space and translated into
-/// `sub`'s. `user_map`/`item_map` are sorted, so translation preserves
-/// worklist order; vertices the maps don't contain are dead and need no
-/// check. When the interrupted round's square passes were full anyway,
-/// there is no point materialising an "everything alive" frontier — the
-/// flag makes the resumed round re-check the whole (now dense) view.
+/// Alive users whose live degree fell since CorePruning last finished: the
+/// neighbors of the items removed since.
+fn core_frontier<T: NeighborView>(view: &T, this: &mut Side<'_>, other: &Side<'_>) -> Vec<u32> {
+    let removed_items = &other.log[other.core_mark..];
+    frontier::core_dirty(&Transposed(view), removed_items, &mut this.seen)
+}
+
+/// Alive users whose common-neighbor counts may have fallen since this
+/// side's SquarePruning pass last started.
+fn square_frontier<T: NeighborView>(
+    view: &T,
+    this: &mut Side<'_>,
+    other: &mut Side<'_>,
+) -> Vec<u32> {
+    let (own, others) = this.square_mark;
+    let (removed_users, removed_items) = (&this.log[own..], &other.log[others..]);
+    frontier::square_dirty(
+        view,
+        removed_users,
+        removed_items,
+        &mut this.seen,
+        &mut other.seen,
+    )
+}
+
+/// The pending frontiers of the passes, derived in the parent id space and
+/// translated into `sub`'s. `user_map`/`item_map` are sorted, so translation
+/// preserves worklist order; vertices the maps don't contain are dead and
+/// need no check. When the interrupted round's square passes were full
+/// anyway, there is no point materialising an "everything alive" frontier —
+/// the flag makes the resumed round re-check the whole (now dense) view.
 fn carry_into<V: PruneView>(
     sub: &InducedSubgraph,
-    pv: &Pruned<'_, V>,
-    marks: [LogMark; 3],
+    view: &V,
+    users: &mut Side<'_>,
+    items: &mut Side<'_>,
     square_full: bool,
-    fscratch: &mut FrontierScratch,
 ) -> Carryover {
-    let [core_mark, sq_user_mark, sq_item_mark] = marks;
-    let view: &V = pv.view;
+    let transposed = Transposed(view);
     let local_users = |parents: Vec<u32>| -> Vec<u32> {
         let local = |&u| sub.local_user(UserId(u)).map(|l| l.0);
         parents.iter().filter_map(local).collect()
@@ -482,21 +525,17 @@ fn carry_into<V: PruneView>(
         let local = |&v| sub.local_item(ItemId(v)).map(|l| l.0);
         parents.iter().filter_map(local).collect()
     };
-    let (ru, ri) = pv.since(core_mark);
-    let core_users = local_users(frontier::core_dirty_users(view, ri, fscratch));
-    let core_items = local_items(frontier::core_dirty_items(view, ru, fscratch));
     let (square_users, square_items) = if square_full {
         (Vec::new(), Vec::new())
     } else {
-        let (ru, ri) = pv.since(sq_user_mark);
-        let su = frontier::square_dirty_users(view, ru, ri, fscratch);
-        let (ru, ri) = pv.since(sq_item_mark);
-        let si = frontier::square_dirty_items(view, ru, ri, fscratch);
-        (local_users(su), local_items(si))
+        (
+            local_users(square_frontier(view, users, items)),
+            local_items(square_frontier(&transposed, items, users)),
+        )
     };
     Carryover {
-        core_users,
-        core_items,
+        core_users: local_users(core_frontier(view, users, items)),
+        core_items: local_items(core_frontier(&transposed, items, users)),
         square_users,
         square_items,
         square_full,
@@ -542,14 +581,9 @@ fn resume_compacted<V: PruneView>(
     }
 }
 
-fn alive_user_ids<V: PruneView>(view: &V) -> Vec<u32> {
+fn alive_ids<V: NeighborView>(view: &V) -> Vec<u32> {
     let alive = |u: &u32| view.user_alive(UserId(*u));
     (0..view.num_users() as u32).filter(alive).collect()
-}
-
-fn alive_item_ids<V: PruneView>(view: &V) -> Vec<u32> {
-    let alive = |v: &u32| view.item_alive(ItemId(*v));
-    (0..view.num_items() as u32).filter(alive).collect()
 }
 
 /// Merges sorted, deduplicated id lists, keeping the invariant.
@@ -569,86 +603,70 @@ fn merge_sorted(into: &mut Vec<u32>, other: &[u32]) {
 /// degree changed). With full alive seeds this visits exactly what a
 /// whole-range scan would visit, minus the vertices that never got dirty.
 fn core_pruning<V: PruneView + Sync>(
-    pv: &mut Pruned<'_, V>,
-    ctx: &FixpointCtx<'_>,
-    mut users: Vec<u32>,
-    mut items: Vec<u32>,
-    fscratch: &mut FrontierScratch,
-) -> (usize, usize) {
-    let user_bound = ctx.params.user_degree_bound();
-    let item_bound = ctx.params.item_degree_bound();
-    let removable = ctx.removable;
-    let (mut removed_users, mut removed_items) = (0, 0);
+    view: &mut V,
+    users: &mut Side<'_>,
+    items: &mut Side<'_>,
+    pool: &WorkerPool,
+    mut user_worklist: Vec<u32>,
+    mut item_worklist: Vec<u32>,
+) {
     loop {
-        let doomed_users: Vec<UserId> = {
-            let view: &V = pv.view;
-            let doomed = |u: &UserId| {
-                view.user_alive(*u) && removable.user(*u) && view.user_degree(*u) < user_bound
-            };
-            ctx.pool
-                .run_worklist(
-                    &users,
-                    || (),
-                    |_, chunk| {
-                        let ids = chunk.iter().copied().map(UserId);
-                        ids.filter(doomed).collect::<Vec<UserId>>()
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        for &u in &doomed_users {
-            pv.remove_user(u);
+        let logged = users.log.len() + items.log.len();
+        let dirty_items = core_step(view, users, items, pool, &user_worklist);
+        merge_sorted(&mut item_worklist, &dirty_items);
+        let transposed = &mut Transposed(&mut *view);
+        user_worklist = core_step(transposed, items, users, pool, &item_worklist);
+        item_worklist.clear();
+        if users.log.len() + items.log.len() == logged {
+            users.core_mark = users.log.len();
+            items.core_mark = items.log.len();
+            return;
         }
-        merge_sorted(
-            &mut items,
-            &frontier::core_dirty_items(pv.view, &doomed_users, fscratch),
-        );
-
-        let doomed_items: Vec<ItemId> = {
-            let view: &V = pv.view;
-            let doomed = |v: &ItemId| {
-                view.item_alive(*v) && removable.item(*v) && view.item_degree(*v) < item_bound
-            };
-            ctx.pool
-                .run_worklist(
-                    &items,
-                    || (),
-                    |_, chunk| {
-                        let ids = chunk.iter().copied().map(ItemId);
-                        ids.filter(doomed).collect::<Vec<ItemId>>()
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        for &v in &doomed_items {
-            pv.remove_item(v);
-        }
-        removed_users += doomed_users.len();
-        removed_items += doomed_items.len();
-        if doomed_users.is_empty() && doomed_items.is_empty() {
-            return (removed_users, removed_items);
-        }
-        users = frontier::core_dirty_users(pv.view, &doomed_items, fscratch);
-        items.clear();
     }
+}
+
+/// One half-step of CorePruning: removes every worklisted user below the
+/// degree bound and returns the alive items whose live degree fell with
+/// them.
+fn core_step<T: PruneView + Sync>(
+    view: &mut T,
+    this: &mut Side<'_>,
+    other: &mut Side<'_>,
+    pool: &WorkerPool,
+    worklist: &[u32],
+) -> Vec<u32> {
+    let doomed: Vec<u32> = {
+        let (view, this): (&T, &Side<'_>) = (view, this);
+        let doomed = |u: &u32| {
+            let id = UserId(*u);
+            view.user_alive(id) && this.removable(*u) && view.user_degree(id) < this.degree_bound
+        };
+        let chunks = pool.run_worklist(
+            worklist,
+            || (),
+            |_, chunk| chunk.iter().copied().filter(doomed).collect::<Vec<u32>>(),
+        );
+        chunks.into_iter().flatten().collect()
+    };
+    for &u in &doomed {
+        remove(view, &mut this.log, u);
+    }
+    this.core_removed += doomed.len();
+    frontier::core_dirty(view, &doomed, &mut other.seen)
 }
 
 /// Counts `u`'s (α, k₂)-neighbors among alive users, including `u` itself
 /// when its own degree meets the bound (Definition 4 quantifies over all of
 /// `U(C)`, so a perfect k₁×k₂ biclique member counts itself — excluding self
 /// with the same `< k₁` test would wrongly prune exact bicliques).
-fn user_neighbor_count<V: PruneView>(
+fn neighbor_count<V: NeighborView>(
     view: &V,
     u: UserId,
     bound: u32,
     scratch: &mut CommonNeighborScratch,
 ) -> usize {
     let mut num = usize::from(view.user_degree(u) as u32 >= bound);
-    twohop::for_each_user_common_neighbor(view, u, scratch, |_, c| {
+    twohop::for_each_common_neighbor(view, u, scratch, |_, c| {
         if c >= bound {
             num += 1;
         }
@@ -656,133 +674,81 @@ fn user_neighbor_count<V: PruneView>(
     num
 }
 
-/// Item-side analogue of [`user_neighbor_count`].
-fn item_neighbor_count<V: PruneView>(
-    view: &V,
-    v: ItemId,
-    bound: u32,
-    scratch: &mut CommonNeighborScratch,
-) -> usize {
-    let mut num = usize::from(view.item_degree(v) as u32 >= bound);
-    twohop::for_each_item_common_neighbor(view, v, scratch, |_, c| {
-        if c >= bound {
-            num += 1;
-        }
-    });
-    num
-}
-
-/// One SquarePruning user pass: derive the worklist (full or dirty), record
-/// delta stats, advance the pass mark, check and remove.
+/// One SquarePruning pass over `view`'s users: derive the worklist (full or
+/// dirty), record delta stats, advance the pass mark, check and remove.
+/// Returns the number of removals.
 #[allow(clippy::too_many_arguments)]
-fn square_user_round<V: PruneView + Sync>(
-    pv: &mut Pruned<'_, V>,
+fn square_round<T: PruneView + Sync>(
+    view: &mut T,
+    this: &mut Side<'_>,
+    other: &mut Side<'_>,
     ctx: &FixpointCtx<'_>,
     full: bool,
-    mark: &mut LogMark,
     carry: Option<&[u32]>,
-    fscratch: &mut FrontierScratch,
-    scratch_pool: &ScratchPool,
-    hubs: Option<&HubBitmaps>,
+    hubs: Option<&HubSide>,
     stats: &mut ExtractionStats,
 ) -> usize {
     let worklist: Vec<u32> = if full {
-        alive_user_ids(pv.view)
+        alive_ids(view)
     } else {
-        let mut wl = {
-            let (ru, ri) = pv.since(*mark);
-            frontier::square_dirty_users(pv.view, ru, ri, fscratch)
-        };
+        let mut wl = square_frontier(view, this, other);
         if let Some(c) = carry {
             merge_sorted(&mut wl, c);
         }
-        stats.dirty_users += wl.len();
-        stats.skipped_users += pv.view.alive_users().saturating_sub(wl.len());
+        this.dirty += wl.len();
+        this.skipped += view.alive_users().saturating_sub(wl.len());
         wl
     };
     // Mark *before* the pass: its own removals (applied below) belong to the
     // next frontier.
-    *mark = pv.mark();
-    square_user_pass(pv, ctx, &worklist, scratch_pool, hubs, stats)
+    this.square_mark = (this.log.len(), other.log.len());
+    let removed = square_pass(view, this, ctx, &worklist, hubs, stats);
+    this.square_removed += removed;
+    removed
 }
 
-/// Item-side analogue of [`square_user_round`].
-#[allow(clippy::too_many_arguments)]
-fn square_item_round<V: PruneView + Sync>(
-    pv: &mut Pruned<'_, V>,
-    ctx: &FixpointCtx<'_>,
-    full: bool,
-    mark: &mut LogMark,
-    carry: Option<&[u32]>,
-    fscratch: &mut FrontierScratch,
-    scratch_pool: &ScratchPool,
-    hubs: Option<&HubBitmaps>,
-    stats: &mut ExtractionStats,
-) -> usize {
-    let worklist: Vec<u32> = if full {
-        alive_item_ids(pv.view)
-    } else {
-        let mut wl = {
-            let (ru, ri) = pv.since(*mark);
-            frontier::square_dirty_items(pv.view, ru, ri, fscratch)
-        };
-        if let Some(c) = carry {
-            merge_sorted(&mut wl, c);
-        }
-        stats.dirty_items += wl.len();
-        stats.skipped_items += pv.view.alive_items().saturating_sub(wl.len());
-        wl
-    };
-    *mark = pv.mark();
-    square_item_pass(pv, ctx, &worklist, scratch_pool, hubs, stats)
-}
-
-/// Lemma 2 user check over a worklist; decisions against the pass-start
-/// snapshot (Parallel) or with immediate effect in `reduce2Hop` order
-/// (SequentialOrdered). Returns the number of removals.
+/// Lemma 2 check over a worklist of `view`'s users; decisions against the
+/// pass-start snapshot (Parallel) or with immediate effect in `reduce2Hop`
+/// order (SequentialOrdered). Returns the number of removals.
 ///
 /// The Parallel arm answers each check through the kernel dispatcher with
-/// the self-inclusion folded into `need` (`count ≥ k₁ ⟺ others ≥ k₁ −
-/// selfq`) — the same predicate as [`user_neighbor_count`]` < k₁` with
-/// early exit, against the same snapshot, so the removal set per round is
+/// the self-inclusion folded into `need` (`count ≥ k ⟺ others ≥ k −
+/// selfq`) — the same predicate as [`neighbor_count`]` < k` with early
+/// exit, against the same snapshot, so the removal set per round is
 /// unchanged. SequentialOrdered keeps the literal full-count pseudocode as
 /// the differential reference.
-fn square_user_pass<V: PruneView + Sync>(
-    pv: &mut Pruned<'_, V>,
+fn square_pass<T: PruneView + Sync>(
+    view: &mut T,
+    this: &mut Side<'_>,
     ctx: &FixpointCtx<'_>,
     worklist: &[u32],
-    scratch_pool: &ScratchPool,
-    hubs: Option<&HubBitmaps>,
+    hubs: Option<&HubSide>,
     stats: &mut ExtractionStats,
 ) -> usize {
     if worklist.is_empty() {
         return 0;
     }
-    let bound = ctx.params.user_common_bound();
-    let k1 = ctx.params.k1;
-    let removable = ctx.removable;
+    let (bound, k) = (this.common_bound, this.k);
     match ctx.strategy {
         SquareStrategy::Parallel => {
-            let results: Vec<(Vec<UserId>, KernelTally)> = {
-                let view: &V = pv.view;
+            let results: Vec<(Vec<u32>, KernelTally)> = {
+                let (view, this): (&T, &Side<'_>) = (view, this);
                 ctx.pool.run_worklist(
                     worklist,
-                    || scratch_pool.lease(),
+                    || this.scratch.lease(),
                     |lease, chunk| {
                         let scratch = lease.get();
                         let mut doomed = Vec::new();
                         let mut tally = KernelTally::default();
-                        for &u in chunk {
-                            let u = UserId(u);
-                            if !view.user_alive(u) || !removable.user(u) {
+                        for &raw in chunk {
+                            let u = UserId(raw);
+                            if !view.user_alive(u) || !this.removable(raw) {
                                 continue;
                             }
                             let selfq = usize::from(view.user_degree(u) as u32 >= bound);
-                            let need = k1.saturating_sub(selfq);
-                            if !kernel::user_survives(
-                                view, hubs, u, bound, need, scratch, &mut tally,
-                            ) {
-                                doomed.push(u);
+                            let need = k.saturating_sub(selfq);
+                            if !kernel::survives(view, hubs, u, bound, need, scratch, &mut tally) {
+                                doomed.push(raw);
                             }
                         }
                         (doomed, tally)
@@ -794,110 +760,28 @@ fn square_user_pass<V: PruneView + Sync>(
                 stats.absorb_kernels(tally);
                 removed += doomed.len();
                 for u in doomed {
-                    pv.remove_user(u);
+                    remove(view, &mut this.log, u);
                 }
             }
             removed
         }
         SquareStrategy::SequentialOrdered => {
-            let mut lease = scratch_pool.lease();
+            let mut lease = this.scratch.lease();
             let scratch = lease.get().wedge_mut();
-            let mut order: Vec<(usize, UserId)> = worklist
+            let mut order: Vec<(usize, u32)> = worklist
                 .iter()
-                .map(|&u| {
-                    let u = UserId(u);
-                    (twohop::user_two_hop_size(pv.view, u, scratch), u)
-                })
+                .map(|&u| (twohop::two_hop_size(view, UserId(u), scratch), u))
                 .collect();
             order.sort_unstable();
             let mut removed = 0;
-            for (_, u) in order {
-                if !pv.view.user_alive(u) || !removable.user(u) {
+            for (_, raw) in order {
+                let u = UserId(raw);
+                if !view.user_alive(u) || !this.removable(raw) {
                     continue;
                 }
                 stats.kernel_wedge += 1;
-                if user_neighbor_count(pv.view, u, bound, scratch) < k1 {
-                    pv.remove_user(u);
-                    removed += 1;
-                }
-            }
-            removed
-        }
-    }
-}
-
-/// Item-side analogue of [`square_user_pass`].
-fn square_item_pass<V: PruneView + Sync>(
-    pv: &mut Pruned<'_, V>,
-    ctx: &FixpointCtx<'_>,
-    worklist: &[u32],
-    scratch_pool: &ScratchPool,
-    hubs: Option<&HubBitmaps>,
-    stats: &mut ExtractionStats,
-) -> usize {
-    if worklist.is_empty() {
-        return 0;
-    }
-    let bound = ctx.params.item_common_bound();
-    let k2 = ctx.params.k2;
-    let removable = ctx.removable;
-    match ctx.strategy {
-        SquareStrategy::Parallel => {
-            let results: Vec<(Vec<ItemId>, KernelTally)> = {
-                let view: &V = pv.view;
-                ctx.pool.run_worklist(
-                    worklist,
-                    || scratch_pool.lease(),
-                    |lease, chunk| {
-                        let scratch = lease.get();
-                        let mut doomed = Vec::new();
-                        let mut tally = KernelTally::default();
-                        for &v in chunk {
-                            let v = ItemId(v);
-                            if !view.item_alive(v) || !removable.item(v) {
-                                continue;
-                            }
-                            let selfq = usize::from(view.item_degree(v) as u32 >= bound);
-                            let need = k2.saturating_sub(selfq);
-                            if !kernel::item_survives(
-                                view, hubs, v, bound, need, scratch, &mut tally,
-                            ) {
-                                doomed.push(v);
-                            }
-                        }
-                        (doomed, tally)
-                    },
-                )
-            };
-            let mut removed = 0;
-            for (doomed, tally) in results {
-                stats.absorb_kernels(tally);
-                removed += doomed.len();
-                for v in doomed {
-                    pv.remove_item(v);
-                }
-            }
-            removed
-        }
-        SquareStrategy::SequentialOrdered => {
-            let mut lease = scratch_pool.lease();
-            let scratch = lease.get().wedge_mut();
-            let mut order: Vec<(usize, ItemId)> = worklist
-                .iter()
-                .map(|&v| {
-                    let v = ItemId(v);
-                    (twohop::item_two_hop_size(pv.view, v, scratch), v)
-                })
-                .collect();
-            order.sort_unstable();
-            let mut removed = 0;
-            for (_, v) in order {
-                if !pv.view.item_alive(v) || !removable.item(v) {
-                    continue;
-                }
-                stats.kernel_wedge += 1;
-                if item_neighbor_count(pv.view, v, bound, scratch) < k2 {
-                    pv.remove_item(v);
+                if neighbor_count(view, u, bound, scratch) < k {
+                    remove(view, &mut this.log, raw);
                     removed += 1;
                 }
             }
@@ -1067,7 +951,7 @@ mod tests {
                     let scratch = lease.get().wedge_mut();
                     chunk
                         .iter()
-                        .map(|&u| user_neighbor_count(&view, UserId(u), 2, scratch))
+                        .map(|&u| neighbor_count(&view, UserId(u), 2, scratch))
                         .sum()
                 },
             );
@@ -1149,6 +1033,38 @@ mod tests {
             SquareStrategy::SequentialOrdered,
         );
         assert_eq!(a.alive_sets(), b.alive_sets());
+    }
+
+    /// A 3×70 block makes users 0–2 hubs over items 10–79, a 70×3 block
+    /// makes items 0–2 hubs over users 100–169: the same ids name hubs on
+    /// both sides, with disjoint bitmaps over id spaces of different
+    /// widths. Every vertex survives (3, 3, 1.0) — but only if the user
+    /// pass reads the item hubs and the item pass the user hubs; the other
+    /// half answers "no common neighbors" (or trips the width check).
+    #[test]
+    fn each_side_reads_its_own_half_of_the_hub_registry() {
+        let mut b = GraphBuilder::new();
+        for u in 0..3u32 {
+            for v in 10..80u32 {
+                b.add_click(UserId(u), ItemId(v), 13);
+            }
+        }
+        for u in 100..170u32 {
+            for v in 0..3u32 {
+                b.add_click(UserId(u), ItemId(v), 13);
+            }
+        }
+        let g = b.build();
+        let mut view = GraphView::full(&g);
+        let stats = extract(
+            &mut view,
+            &params(3, 1.0),
+            &WorkerPool::new(2),
+            SquareStrategy::Parallel,
+        );
+        assert!(stats.kernel_blocked > 0, "hub anchors dispatch blocked");
+        assert_eq!(view.alive_users(), 3 + 70);
+        assert_eq!(view.alive_items(), 3 + 70);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the (α, k₁, k₂)-extension biclique extraction
 //! (Algorithm 3): the Lemma 1/2 invariants on survivors, planted-structure
 //! completeness, fixpoint idempotence, strategy agreement, representation
-//! independence of the generic fixpoint, and the masked-fixpoint property.
+//! independence of the generic fixpoint, the masked-fixpoint property, and
+//! transpose symmetry (the item side is the user side of `Gᵀ`).
 
 use proptest::prelude::*;
 use ricd_core::extract::{
@@ -11,7 +12,8 @@ use ricd_core::params::RicdParams;
 use ricd_engine::WorkerPool;
 use ricd_graph::twohop::{self, CommonNeighborScratch};
 use ricd_graph::{
-    BipartiteGraph, CompactBigraph, CompactView, GraphBuilder, GraphView, ItemId, UserId,
+    BipartiteGraph, CompactBigraph, CompactView, GraphBuilder, GraphView, ItemId, Transposed,
+    UserId,
 };
 
 /// Random sparse noise plus an optional planted biclique.
@@ -74,7 +76,7 @@ proptest! {
         let mut scratch = CommonNeighborScratch::new(g.num_users());
         for u in view.users() {
             let mut count = usize::from(view.user_degree(u) as u32 >= p.user_common_bound());
-            twohop::for_each_user_common_neighbor(&view, u, &mut scratch, |_, c| {
+            twohop::for_each_common_neighbor(&view, u, &mut scratch, |_, c| {
                 if c >= p.user_common_bound() {
                     count += 1;
                 }
@@ -176,11 +178,11 @@ proptest! {
     #[test]
     fn masked_fixpoint_pins_and_converges(
         (g, _) in graphs(),
-        k in 3usize..8,
+        (k1, k2) in (3usize..8, 3usize..8),
         user_bits in proptest::collection::vec(any::<bool>(), 64..65),
         item_bits in proptest::collection::vec(any::<bool>(), 64..65),
     ) {
-        let p = params(k, 1.0);
+        let p = RicdParams { k1, k2, ..params(k1, 1.0) };
         let users: Vec<bool> = (0..g.num_users()).map(|i| user_bits[i % 64]).collect();
         let items: Vec<bool> = (0..g.num_items()).map(|i| item_bits[i % 64]).collect();
         let removable = Removable { users: Some(&users), items: Some(&items) };
@@ -204,7 +206,7 @@ proptest! {
         for u in view.users().filter(|u| users[u.index()]) {
             prop_assert!(view.user_degree(u) >= p.user_degree_bound());
             let mut count = usize::from(view.user_degree(u) as u32 >= p.user_common_bound());
-            twohop::for_each_user_common_neighbor(&view, u, &mut scratch, |_, c| {
+            twohop::for_each_common_neighbor(&view, u, &mut scratch, |_, c| {
                 count += usize::from(c >= p.user_common_bound());
             });
             prop_assert!(count >= p.k1, "{u} has {count} qualified neighbors < k1 {}", p.k1);
@@ -213,10 +215,59 @@ proptest! {
         for v in view.items().filter(|v| items[v.index()]) {
             prop_assert!(view.item_degree(v) >= p.item_degree_bound());
             let mut count = usize::from(view.item_degree(v) as u32 >= p.item_common_bound());
-            twohop::for_each_item_common_neighbor(&view, v, &mut scratch, |_, c| {
+            // Items are the users of the transposed view.
+            twohop::for_each_common_neighbor(&Transposed(&view), UserId(v.0), &mut scratch, |_, c| {
                 count += usize::from(c >= p.item_common_bound());
             });
             prop_assert!(count >= p.k2, "{v} has {count} qualified neighbors < k2 {}", p.k2);
+        }
+    }
+
+    /// Transpose symmetry. Algorithm 3 treats both sides alike with
+    /// `(k₁, k₂)` swapped, so extraction on `Gᵀ` (every record's user and
+    /// item exchanged) with `(k₂, k₁)` must leave exactly the transposed
+    /// alive sets — on either view, under either strategy. The planted
+    /// block is `a × b` and `k₁ ≠ k₂` in general, so an item pass that reads
+    /// a user-side bound, log or scratch gives different answers in the two
+    /// runs. (The hub-registry halves are pinned by a unit test in
+    /// `extract.rs`; no world this small has a hub on both sides.)
+    #[test]
+    fn extraction_commutes_with_transposition(
+        noise in proptest::collection::vec((0u32..60, 0u32..60, 1u32..20), 0..300),
+        (a, b) in (3u32..11, 3u32..11),
+        (k1, k2) in (3usize..8, 3usize..8),
+        alpha in 0.7f64..=1.0,
+    ) {
+        let planted = (0..a).flat_map(|u| (0..b).map(move |v| (50 + u, 50 + v, 13)));
+        let records: Vec<(u32, u32, u32)> = noise.into_iter().chain(planted).collect();
+        let build = |transpose: bool| {
+            let mut builder = GraphBuilder::new();
+            for &(u, v, c) in &records {
+                let (u, v) = if transpose { (v, u) } else { (u, v) };
+                builder.add_click(UserId(u), ItemId(v), c);
+            }
+            builder.build()
+        };
+        let (g, gt) = (build(false), build(true));
+        let p = RicdParams { k1, k2, ..params(k1, alpha) };
+        let pt = RicdParams { k1: k2, k2: k1, ..p };
+        let raw = |(users, items): (Vec<UserId>, Vec<ItemId>)| -> (Vec<u32>, Vec<u32>) {
+            (users.iter().map(|u| u.0).collect(), items.iter().map(|v| v.0).collect())
+        };
+        let pool = WorkerPool::new(2);
+        for strategy in [SquareStrategy::Parallel, SquareStrategy::SequentialOrdered] {
+            let (mut dense, mut dense_t) = (GraphView::full(&g), GraphView::full(&gt));
+            extract(&mut dense, &p, &pool, strategy);
+            extract(&mut dense_t, &pt, &pool, strategy);
+            let (users, items) = raw(dense.alive_sets());
+            prop_assert_eq!(raw(dense_t.alive_sets()), (items.clone(), users.clone()), "dense {:?}", strategy);
+
+            let (c, ct) = (CompactBigraph::from_graph(&g), CompactBigraph::from_graph(&gt));
+            let (mut compact, mut compact_t) = (CompactView::full(&c), CompactView::full(&ct));
+            extract(&mut compact, &p, &pool, strategy);
+            extract(&mut compact_t, &pt, &pool, strategy);
+            prop_assert_eq!(raw(compact.alive_sets()), (users.clone(), items.clone()), "compact {:?}", strategy);
+            prop_assert_eq!(raw(compact_t.alive_sets()), (items, users), "compact transposed {:?}", strategy);
         }
     }
 }

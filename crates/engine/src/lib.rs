@@ -8,8 +8,8 @@
 //! rounds (16 workers by default in the paper's cluster). This crate is the
 //! in-process substitute: a [`WorkerPool`] over scoped threads,
 //! range [`partition`]ing of the vertex space, and bulk-synchronous
-//! [`WorkerPool::map_vertices`] / [`WorkerPool::filter_vertices`] /
-//! [`WorkerPool::fold_vertices`] primitives.
+//! [`WorkerPool::map_vertices`] / [`WorkerPool::filter_vertices`]
+//! primitives.
 //!
 //! Keeping the same programming model matters for fidelity: RICD's pruning
 //! passes (Algorithm 3) are expressed as parallel per-vertex rounds here,
@@ -23,9 +23,9 @@
 //!
 //! A production cluster loses workers; the paper's deployment at Taobao
 //! cannot abort a day's detection run because one partition crashed. Every
-//! primitive therefore exists in two flavors: the classic infallible form
-//! (panics only after the retry budget is exhausted) and a `try_*` form
-//! returning [`EngineError`]. Worker panics are contained with
+//! scheduling primitive therefore has a `try_*` form returning
+//! [`EngineError`]; the infallible forms built on them panic only after the
+//! retry budget is exhausted. Worker panics are contained with
 //! `catch_unwind`, failed partitions are retried on fresh threads, and the
 //! last attempt runs sequentially on the calling thread. [`fault`] provides
 //! the deterministic fault-injection hooks the chaos suite drives this with.

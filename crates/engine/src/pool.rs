@@ -475,21 +475,8 @@ impl WorkerPool {
         Ok(out)
     }
 
-    /// Runs `f(i)` once per task `i in 0..n` with per-task dynamic
-    /// scheduling, returning results in task order.
-    ///
-    /// Delegates to [`try_run_tasks`](Self::try_run_tasks); a task that
-    /// keeps panicking after the retry budget re-raises the failure here as
-    /// a panic carrying the [`EngineError`] description.
-    pub fn run_tasks<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.try_run_tasks(n, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolated per-task scheduling for *coarse* work units.
+    /// Fault-isolated per-task scheduling for *coarse* work units: runs
+    /// `f(i)` once per task `i in 0..n`, returning results in task order.
     ///
     /// [`try_run_worklist`](Self::try_run_worklist) amortizes cursor
     /// traffic by claiming vertices in chunks of ≥ 64, which serializes a
@@ -649,24 +636,7 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.try_map_vertices(n, f)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolated [`map_vertices`](Self::map_vertices); see
-    /// [`try_run_partitioned`](Self::try_run_partitioned) for the retry
-    /// contract.
-    pub fn try_map_vertices<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, EngineError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let chunks = self.try_run_partitioned(n, |r| r.map(&f).collect::<Vec<T>>())?;
-        let mut out = Vec::with_capacity(n);
-        for mut c in chunks {
-            out.append(&mut c);
-        }
-        Ok(out)
+        concat(self.run_partitioned(n, |r| r.map(&f).collect::<Vec<T>>()))
     }
 
     /// Collects the indices `i in 0..n` for which `pred(i)` holds, in
@@ -675,69 +645,17 @@ impl WorkerPool {
     where
         F: Fn(usize) -> bool + Sync,
     {
-        self.try_filter_vertices(n, pred)
-            .unwrap_or_else(|e| panic!("{e}"))
+        concat(self.run_partitioned(n, |r| r.filter(|&i| pred(i)).collect::<Vec<usize>>()))
     }
+}
 
-    /// Fault-isolated [`filter_vertices`](Self::filter_vertices); see
-    /// [`try_run_partitioned`](Self::try_run_partitioned) for the retry
-    /// contract.
-    pub fn try_filter_vertices<F>(&self, n: usize, pred: F) -> Result<Vec<usize>, EngineError>
-    where
-        F: Fn(usize) -> bool + Sync,
-    {
-        let per_worker = self.try_run_partitioned(n, |r| {
-            let mut hits = Vec::new();
-            for i in r {
-                if pred(i) {
-                    hits.push(i);
-                }
-            }
-            hits
-        })?;
-        let mut out = Vec::with_capacity(per_worker.iter().map(Vec::len).sum());
-        for mut v in per_worker {
-            out.append(&mut v);
-        }
-        Ok(out)
+/// Joins per-partition results in partition order, allocating once.
+fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for mut c in chunks {
+        out.append(&mut c);
     }
-
-    /// Folds `f(i)` over `0..n` with a per-worker accumulator and a final
-    /// sequential `merge` across workers (one superstep).
-    pub fn fold_vertices<A, F, M>(&self, n: usize, init: A, f: F, merge: M) -> A
-    where
-        A: Send + Sync + Clone,
-        F: Fn(A, usize) -> A + Sync,
-        M: Fn(A, A) -> A,
-    {
-        self.try_fold_vertices(n, init, f, merge)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolated [`fold_vertices`](Self::fold_vertices); see
-    /// [`try_run_partitioned`](Self::try_run_partitioned) for the retry
-    /// contract.
-    pub fn try_fold_vertices<A, F, M>(
-        &self,
-        n: usize,
-        init: A,
-        f: F,
-        merge: M,
-    ) -> Result<A, EngineError>
-    where
-        A: Send + Sync + Clone,
-        F: Fn(A, usize) -> A + Sync,
-        M: Fn(A, A) -> A,
-    {
-        let per_worker = self.try_run_partitioned(n, |r| {
-            let mut acc = init.clone();
-            for i in r {
-                acc = f(acc, i);
-            }
-            acc
-        })?;
-        Ok(per_worker.into_iter().fold(init, merge))
-    }
+    out
 }
 
 impl Default for WorkerPool {
@@ -772,13 +690,6 @@ mod tests {
         let got = pool.filter_vertices(100, |i| i % 7 == 0);
         let want: Vec<usize> = (0..100).filter(|i| i % 7 == 0).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn fold_sums() {
-        let pool = WorkerPool::new(5);
-        let sum = pool.fold_vertices(101, 0u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(sum, 100 * 101 / 2);
     }
 
     #[test]
@@ -872,14 +783,14 @@ mod tests {
         // Panics on every worker thread; only the inline sequential
         // fallback (calling thread) survives.
         let got = pool
-            .try_map_vertices(50, |i| {
+            .try_run_partitioned(50, |r| {
                 if std::thread::current().id() != main_thread {
                     panic!("worker-thread poison");
                 }
-                i * 2
+                r.map(|i| i * 2).collect::<Vec<_>>()
             })
             .expect("sequential fallback must rescue the round");
-        assert_eq!(got, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(got.concat(), (0..50).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1129,7 +1040,7 @@ mod tests {
     fn tasks_run_each_index_once_in_order() {
         for workers in [1, 2, 4, 8] {
             let pool = WorkerPool::new(workers);
-            let got = pool.run_tasks(37, |i| i * 7);
+            let got = pool.try_run_tasks(37, |i| i * 7).unwrap();
             assert_eq!(got, (0..37).map(|i| i * 7).collect::<Vec<_>>());
         }
     }
@@ -1137,13 +1048,13 @@ mod tests {
     #[test]
     fn tasks_empty_is_noop() {
         let pool = WorkerPool::new(4);
-        let got: Vec<u8> = pool.run_tasks(0, |_| 1);
+        let got: Vec<u8> = pool.try_run_tasks(0, |_| 1).unwrap();
         assert!(got.is_empty());
     }
 
     #[test]
     fn few_coarse_tasks_use_multiple_workers() {
-        // The point of run_tasks over run_worklist: 6 tasks must not all be
+        // The point of try_run_tasks over run_worklist: 6 tasks must not all be
         // claimed by one worker (the worklist path's 64-entry chunk floor
         // would put them in a single chunk).
         use std::collections::HashSet;
@@ -1151,7 +1062,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let seen = Mutex::new(HashSet::new());
         let barrier = std::sync::Barrier::new(4);
-        let _ = pool.run_tasks(6, |i| {
+        let _ = pool.try_run_tasks(6, |i| {
             if i < 4 {
                 // The first four tasks rendezvous: they can only all arrive
                 // if four distinct workers each claimed one.
@@ -1233,26 +1144,10 @@ mod tests {
 
     #[test]
     fn tasks_results_independent_of_worker_count() {
-        let seq: Vec<usize> = WorkerPool::new(1).run_tasks(23, |i| i.wrapping_mul(13));
+        let run = |w| WorkerPool::new(w).try_run_tasks(23, |i| i.wrapping_mul(13));
+        let seq: Vec<usize> = run(1).unwrap();
         for w in [2, 3, 8] {
-            assert_eq!(
-                WorkerPool::new(w).run_tasks(23, |i| i.wrapping_mul(13)),
-                seq
-            );
+            assert_eq!(run(w).unwrap(), seq);
         }
-    }
-
-    #[test]
-    fn try_variants_match_infallible_results() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(
-            pool.try_filter_vertices(100, |i| i % 9 == 0).unwrap(),
-            pool.filter_vertices(100, |i| i % 9 == 0)
-        );
-        assert_eq!(
-            pool.try_fold_vertices(101, 0u64, |a, i| a + i as u64, |a, b| a + b)
-                .unwrap(),
-            pool.fold_vertices(101, 0u64, |a, i| a + i as u64, |a, b| a + b)
-        );
     }
 }

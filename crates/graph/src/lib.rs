@@ -68,4 +68,4 @@ pub use shard::{plan_shards, user_shard, Shard, ShardOptions, ShardPlan, ShardPl
 pub use stats::{ClickDistribution, DatasetScale, SideStats};
 pub use subgraph::InducedSubgraph;
 pub use twohop::{CommonNeighborScratch, HubBitmaps, KernelScratch};
-pub use view::{GraphView, NeighborView, PruneView};
+pub use view::{GraphView, NeighborView, PruneView, Transposed};

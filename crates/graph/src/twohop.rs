@@ -7,9 +7,14 @@
 //! then each alive user `u' ∈ adj(v)`, accumulating a count per `u'`. The
 //! cost is `Σ_{v ∈ adj(u)} deg(v)`, which is what the paper's `reduce2Hop`
 //! candidate ordering (borrowed from [Lyu et al., VLDB'20]) optimizes.
+//!
+//! Every counter and kernel here is written once, for an anchor on the
+//! **user** side of the view it is handed. The item side is the same call
+//! on [`Transposed`]`(&view)` with `UserId(v.0)` as the anchor (and, for the
+//! blocked kernel, the registry's other half).
 
 use crate::ids::{ItemId, UserId};
-use crate::view::{GraphView, NeighborView};
+use crate::view::{GraphView, NeighborView, Transposed};
 
 /// Sparse map from a same-side vertex to the number of common neighbors,
 /// reusable across calls to avoid re-allocation.
@@ -50,7 +55,7 @@ impl CommonNeighborScratch {
 /// `(α,k)`-neighbor semantics (Definition 4 quantifies over all `u' ∈ U(C)`,
 /// which includes `u` with `|adj(u) ∩ adj(u)| = deg(u)`) add it back
 /// explicitly.
-pub fn for_each_user_common_neighbor<V: NeighborView, F: FnMut(UserId, u32)>(
+pub fn for_each_common_neighbor<V: NeighborView, F: FnMut(UserId, u32)>(
     view: &V,
     u: UserId,
     scratch: &mut CommonNeighborScratch,
@@ -74,37 +79,12 @@ pub fn for_each_user_common_neighbor<V: NeighborView, F: FnMut(UserId, u32)>(
     }
 }
 
-/// Item-side analogue of [`for_each_user_common_neighbor`].
-pub fn for_each_item_common_neighbor<V: NeighborView, F: FnMut(ItemId, u32)>(
-    view: &V,
-    v: ItemId,
-    scratch: &mut CommonNeighborScratch,
-    mut f: F,
-) {
-    scratch.clear();
-    view.for_each_item_neighbor(v, |u| {
-        view.for_each_user_neighbor(u, |v2| {
-            if v2 == v {
-                return;
-            }
-            let idx = v2.index();
-            if scratch.counts[idx] == 0 {
-                scratch.touched.push(v2.0);
-            }
-            scratch.counts[idx] += 1;
-        });
-    });
-    for &t in &scratch.touched {
-        f(ItemId(t), scratch.counts[t as usize]);
-    }
-}
-
 /// Decides whether user `u` has at least `need` other alive users sharing
 /// `≥ bound` common neighbors with it — the `SquarePruning` survival test —
 /// **without** computing the full common-neighbor map.
 ///
-/// Two properties make this much cheaper than
-/// [`for_each_user_common_neighbor`] on dense survivors:
+/// Two properties make this much cheaper than [`for_each_common_neighbor`]
+/// on dense survivors:
 ///
 /// * **Early exit.** Partial common counts only grow as more of `u`'s
 ///   adjacency is scanned, so the moment `need` partners have crossed
@@ -117,7 +97,7 @@ pub fn for_each_item_common_neighbor<V: NeighborView, F: FnMut(ItemId, u32)>(
 ///
 /// Callers wanting the paper's self-inclusive Definition 4 count adjust
 /// `need` for `u` itself (`|adj(u) ∩ adj(u)| = deg(u)`) before calling.
-pub fn user_has_qualified_neighbors<V: NeighborView>(
+pub fn has_qualified_neighbors<V: NeighborView>(
     view: &V,
     u: UserId,
     bound: u32,
@@ -189,97 +169,15 @@ pub fn user_has_qualified_neighbors<V: NeighborView>(
     done
 }
 
-/// Item-side analogue of [`user_has_qualified_neighbors`].
-pub fn item_has_qualified_neighbors<V: NeighborView>(
-    view: &V,
-    v: ItemId,
-    bound: u32,
-    need: usize,
-    scratch: &mut CommonNeighborScratch,
-) -> bool {
-    if need == 0 {
-        return true;
-    }
-    if bound == 0 {
-        let mut n = 0;
-        let mut done = false;
-        scratch.clear();
-        view.for_each_item_neighbor_while(v, |u| {
-            view.for_each_user_neighbor_while(u, |v2| {
-                if v2 == v {
-                    return true;
-                }
-                let idx = v2.index();
-                if scratch.counts[idx] == 0 {
-                    scratch.touched.push(v2.0);
-                    scratch.counts[idx] = 1;
-                    n += 1;
-                    if n >= need {
-                        done = true;
-                        return false;
-                    }
-                }
-                true
-            });
-            !done
-        });
-        return done;
-    }
-    scratch.clear();
-    let mut users = std::mem::take(&mut scratch.order);
-    users.clear();
-    view.for_each_item_neighbor(v, |u| users.push((view.user_degree(u) as u32, u.0)));
-    users.sort_unstable();
-    let mut qualified = 0usize;
-    let mut done = false;
-    for &(_, u) in &users {
-        let u = UserId(u);
-        view.for_each_user_neighbor_while(u, |v2| {
-            if v2 == v {
-                return true;
-            }
-            let idx = v2.index();
-            if scratch.counts[idx] == 0 {
-                scratch.touched.push(v2.0);
-            }
-            scratch.counts[idx] += 1;
-            if scratch.counts[idx] == bound {
-                qualified += 1;
-                if qualified >= need {
-                    done = true;
-                    return false;
-                }
-            }
-            true
-        });
-        if done {
-            break;
-        }
-    }
-    scratch.order = users;
-    done
-}
-
 /// Number of distinct users reachable from `u` in two hops (its two-hop
 /// neighborhood size), used for the `reduce2Hop` candidate ordering.
-pub fn user_two_hop_size<V: NeighborView>(
+pub fn two_hop_size<V: NeighborView>(
     view: &V,
     u: UserId,
     scratch: &mut CommonNeighborScratch,
 ) -> usize {
     let mut n = 0;
-    for_each_user_common_neighbor(view, u, scratch, |_, _| n += 1);
-    n
-}
-
-/// Number of distinct items reachable from `v` in two hops.
-pub fn item_two_hop_size<V: NeighborView>(
-    view: &V,
-    v: ItemId,
-    scratch: &mut CommonNeighborScratch,
-) -> usize {
-    let mut n = 0;
-    for_each_item_common_neighbor(view, v, scratch, |_, _| n += 1);
+    for_each_common_neighbor(view, u, scratch, |_, _| n += 1);
     n
 }
 
@@ -316,7 +214,7 @@ fn sorted_intersection_count<T: Ord + Copy, F: Fn(&T) -> bool>(a: &[T], b: &[T],
     n
 }
 
-/// Marks an out-of-registry entry in the hub slot maps.
+/// Marks an out-of-registry entry in a hub slot map.
 const NO_HUB: u32 = u32::MAX;
 
 /// Candidate-bitmap words are swept in chunks of this many `u64`s (4 KiB)
@@ -328,12 +226,13 @@ const HUB_BLOCK_WORDS: usize = 512;
 /// — the *hubs* whose full wedge walks dominate SquarePruning cost.
 ///
 /// For each of the top-K alive items (by current alive degree, above a
-/// floor), the registry materializes its alive user set as a `u64` bitmap
-/// over the user id space, with the popcount cached at build time;
-/// symmetrically for the top users over the item space. The blocked
-/// survival kernel then replaces "walk the hub's whole adjacency list" with
-/// "AND the candidate bitmap against the hub bitmap", which skips 64
-/// non-candidates per instruction.
+/// floor), [`HubBitmaps::items`] materializes its alive user set as a `u64`
+/// bitmap over the user id space, with the popcount cached at build time;
+/// [`HubBitmaps::users`] is the same registry built on the [`Transposed`]
+/// view — the top users over the item space. The blocked survival kernel
+/// then replaces "walk the hub's whole adjacency list" with "AND the
+/// candidate bitmap against the hub bitmap", which skips 64 non-candidates
+/// per instruction.
 ///
 /// # Staleness contract
 ///
@@ -346,18 +245,23 @@ const HUB_BLOCK_WORDS: usize = 512;
 /// not on every removal.
 #[derive(Clone, Debug, Default)]
 pub struct HubBitmaps {
-    /// `item.index()` → slot in `item_bits`, or [`NO_HUB`].
-    item_slot: Vec<u32>,
-    /// Item-hub bitmaps over the **user** space, `user_stride` words each.
-    item_bits: Vec<u64>,
-    item_pop: Vec<u32>,
-    user_stride: usize,
-    /// `user.index()` → slot in `user_bits`, or [`NO_HUB`].
-    user_slot: Vec<u32>,
-    /// User-hub bitmaps over the **item** space, `item_stride` words each.
-    user_bits: Vec<u64>,
-    user_pop: Vec<u32>,
-    item_stride: usize,
+    /// Item hubs over the user space: what a user anchor's kernel reads.
+    pub items: HubSide,
+    /// User hubs over the item space, as the item hubs of the transposed
+    /// view: what an item anchor's kernel reads.
+    pub users: HubSide,
+}
+
+/// One half of a [`HubBitmaps`] registry: the hub **items** of the view it
+/// was built from, as bitmaps over that view's user id space.
+#[derive(Clone, Debug, Default)]
+pub struct HubSide {
+    /// `item.index()` → slot in `bits`, or [`NO_HUB`].
+    slot: Vec<u32>,
+    /// `stride` words per hub.
+    bits: Vec<u64>,
+    pop: Vec<u32>,
+    stride: usize,
 }
 
 impl HubBitmaps {
@@ -371,104 +275,74 @@ impl HubBitmaps {
     /// vertices with alive degree ≥ `min_degree`, highest degree first,
     /// at most `max_hubs` per side.
     pub fn build<V: NeighborView>(view: &V, min_degree: u32, max_hubs: usize) -> Self {
-        let (nu, ni) = (view.num_users(), view.num_items());
-        let user_stride = nu.div_ceil(64);
-        let item_stride = ni.div_ceil(64);
-
-        let mut hot_items: Vec<(u32, u32)> = (0..ni as u32)
-            .filter(|&v| view.item_alive(ItemId(v)))
-            .map(|v| (view.item_degree(ItemId(v)) as u32, v))
-            .filter(|&(d, _)| d >= min_degree.max(1))
-            .collect();
-        hot_items.sort_unstable_by(|a, b| b.cmp(a));
-        hot_items.truncate(max_hubs);
-        let mut item_slot = vec![NO_HUB; ni];
-        let mut item_bits = vec![0u64; hot_items.len() * user_stride];
-        let mut item_pop = vec![0u32; hot_items.len()];
-        for (slot, &(_, v)) in hot_items.iter().enumerate() {
-            item_slot[v as usize] = slot as u32;
-            let words = &mut item_bits[slot * user_stride..(slot + 1) * user_stride];
-            view.for_each_item_neighbor(ItemId(v), |u| {
-                words[u.index() / 64] |= 1u64 << (u.index() % 64);
-            });
-            item_pop[slot] = words.iter().map(|w| w.count_ones()).sum();
-        }
-
-        let mut hot_users: Vec<(u32, u32)> = (0..nu as u32)
-            .filter(|&u| view.user_alive(UserId(u)))
-            .map(|u| (view.user_degree(UserId(u)) as u32, u))
-            .filter(|&(d, _)| d >= min_degree.max(1))
-            .collect();
-        hot_users.sort_unstable_by(|a, b| b.cmp(a));
-        hot_users.truncate(max_hubs);
-        let mut user_slot = vec![NO_HUB; nu];
-        let mut user_bits = vec![0u64; hot_users.len() * item_stride];
-        let mut user_pop = vec![0u32; hot_users.len()];
-        for (slot, &(_, u)) in hot_users.iter().enumerate() {
-            user_slot[u as usize] = slot as u32;
-            let words = &mut user_bits[slot * item_stride..(slot + 1) * item_stride];
-            view.for_each_user_neighbor(UserId(u), |v| {
-                words[v.index() / 64] |= 1u64 << (v.index() % 64);
-            });
-            user_pop[slot] = words.iter().map(|w| w.count_ones()).sum();
-        }
-
         Self {
-            item_slot,
-            item_bits,
-            item_pop,
-            user_stride,
-            user_slot,
-            user_bits,
-            user_pop,
-            item_stride,
+            items: HubSide::build(view, min_degree, max_hubs),
+            users: HubSide::build(&Transposed(view), min_degree, max_hubs),
         }
-    }
-
-    /// The bitmap of item hub `v` over the user space, if `v` is a hub.
-    #[inline]
-    pub fn item_hub_words(&self, v: ItemId) -> Option<&[u64]> {
-        let slot = *self.item_slot.get(v.index())?;
-        if slot == NO_HUB {
-            return None;
-        }
-        let start = slot as usize * self.user_stride;
-        Some(&self.item_bits[start..start + self.user_stride])
-    }
-
-    /// The bitmap of user hub `u` over the item space, if `u` is a hub.
-    #[inline]
-    pub fn user_hub_words(&self, u: UserId) -> Option<&[u64]> {
-        let slot = *self.user_slot.get(u.index())?;
-        if slot == NO_HUB {
-            return None;
-        }
-        let start = slot as usize * self.item_stride;
-        Some(&self.user_bits[start..start + self.item_stride])
-    }
-
-    /// Cached build-time popcount of item hub `v`'s bitmap.
-    pub fn item_hub_popcount(&self, v: ItemId) -> Option<u32> {
-        let slot = *self.item_slot.get(v.index())?;
-        (slot != NO_HUB).then(|| self.item_pop[slot as usize])
-    }
-
-    /// Number of item-side hubs in the registry.
-    pub fn item_hub_count(&self) -> usize {
-        self.item_pop.len()
-    }
-
-    /// Number of user-side hubs in the registry.
-    pub fn user_hub_count(&self) -> usize {
-        self.user_pop.len()
     }
 
     /// Bytes of live payload (lengths, not capacities, so the figure is
     /// deterministic for a given view — it feeds a metrics gauge).
     pub fn heap_bytes(&self) -> usize {
-        (self.item_slot.len() + self.user_slot.len()) * std::mem::size_of::<u32>()
-            + (self.item_bits.len() + self.user_bits.len()) * std::mem::size_of::<u64>()
-            + (self.item_pop.len() + self.user_pop.len()) * std::mem::size_of::<u32>()
+        self.items.heap_bytes() + self.users.heap_bytes()
+    }
+}
+
+impl HubSide {
+    fn build<V: NeighborView>(view: &V, min_degree: u32, max_hubs: usize) -> Self {
+        let ni = view.num_items();
+        let stride = view.num_users().div_ceil(64);
+        let mut hot: Vec<(u32, u32)> = (0..ni as u32)
+            .filter(|&v| view.item_alive(ItemId(v)))
+            .map(|v| (view.item_degree(ItemId(v)) as u32, v))
+            .filter(|&(d, _)| d >= min_degree.max(1))
+            .collect();
+        hot.sort_unstable_by(|a, b| b.cmp(a));
+        hot.truncate(max_hubs);
+        let mut slot = vec![NO_HUB; ni];
+        let mut bits = vec![0u64; hot.len() * stride];
+        let mut pop = vec![0u32; hot.len()];
+        for (s, &(_, v)) in hot.iter().enumerate() {
+            slot[v as usize] = s as u32;
+            let words = &mut bits[s * stride..(s + 1) * stride];
+            view.for_each_item_neighbor(ItemId(v), |u| {
+                words[u.index() / 64] |= 1u64 << (u.index() % 64);
+            });
+            pop[s] = words.iter().map(|w| w.count_ones()).sum();
+        }
+        Self {
+            slot,
+            bits,
+            pop,
+            stride,
+        }
+    }
+
+    /// The bitmap of hub item `v` over the user space, if `v` is a hub.
+    #[inline]
+    pub fn words(&self, v: ItemId) -> Option<&[u64]> {
+        let slot = *self.slot.get(v.index())?;
+        if slot == NO_HUB {
+            return None;
+        }
+        let start = slot as usize * self.stride;
+        Some(&self.bits[start..start + self.stride])
+    }
+
+    /// Cached build-time popcount of hub item `v`'s bitmap.
+    pub fn popcount(&self, v: ItemId) -> Option<u32> {
+        let slot = *self.slot.get(v.index())?;
+        (slot != NO_HUB).then(|| self.pop[slot as usize])
+    }
+
+    /// Number of hubs on this side.
+    pub fn count(&self) -> usize {
+        self.pop.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.slot.len() + self.pop.len()) * std::mem::size_of::<u32>()
+            + self.bits.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -504,8 +378,11 @@ impl KernelScratch {
     }
 }
 
-/// Cache-blocked SWAR variant of [`user_has_qualified_neighbors`]: same
+/// Cache-blocked SWAR variant of [`has_qualified_neighbors`]: same
 /// contract, same answer, different cost shape on hub-heavy anchors.
+/// `hubs` is the registry half whose hubs are `view`'s items:
+/// [`HubBitmaps::items`] for a plain view, [`HubBitmaps::users`] for the
+/// transposed one.
 ///
 /// The wedge counter pays `Σ deg(v)` over **all** of the anchor's items —
 /// including the ultra-popular ones, whose adjacency walks dominate when
@@ -524,7 +401,7 @@ impl KernelScratch {
 /// * **Closed phase** (the `bound − 1` highest-degree items, i.e. the
 ///   likely hubs): no new candidates can qualify, so instead of walking
 ///   the hub's full adjacency the kernel ANDs the candidate bitmap
-///   against the hub's [`HubBitmaps`] bitmap word by word, in
+///   against the hub's [`HubSide`] bitmap word by word, in
 ///   [`HUB_BLOCK_WORDS`]-sized blocks — a zero word skips 64
 ///   non-candidates at once, and only surviving bits touch the counts
 ///   array. Items without a registry entry fall back to streaming their
@@ -533,9 +410,11 @@ impl KernelScratch {
 /// Early exit fires the moment `need` candidates reach `bound`, in either
 /// phase. `bound == 0` (distinct-partner counting) has no threshold to
 /// phase on and delegates to the wedge walk unchanged.
-pub fn blocked_user_has_qualified_neighbors<V: NeighborView>(
+// No `#[inline]` here or on the wedge kernel: forcing this body into both
+// sides' pass loops measured +10 % on the 200k-user batch benchmark.
+pub fn blocked_has_qualified_neighbors<V: NeighborView>(
     view: &V,
-    hubs: &HubBitmaps,
+    hubs: &HubSide,
     u: UserId,
     bound: u32,
     need: usize,
@@ -545,7 +424,7 @@ pub fn blocked_user_has_qualified_neighbors<V: NeighborView>(
         return true;
     }
     if bound == 0 {
-        return user_has_qualified_neighbors(view, u, bound, need, &mut scratch.wedge);
+        return has_qualified_neighbors(view, u, bound, need, &mut scratch.wedge);
     }
     let KernelScratch {
         wedge,
@@ -603,7 +482,7 @@ pub fn blocked_user_has_qualified_neighbors<V: NeighborView>(
     cand_touched.sort_unstable();
     for &(_, raw) in &order[open..] {
         let v = ItemId(raw);
-        if let Some(hub) = hubs.item_hub_words(v) {
+        if let Some(hub) = hubs.words(v) {
             debug_assert_eq!(hub.len(), cand_words.len(), "hub/scratch space mismatch");
             'blocks: for block in cand_touched.chunks(HUB_BLOCK_WORDS) {
                 for &w in block {
@@ -650,119 +529,6 @@ pub fn blocked_user_has_qualified_neighbors<V: NeighborView>(
     false
 }
 
-/// Item-side analogue of [`blocked_user_has_qualified_neighbors`], using
-/// the registry's user-side bitmaps (over the item space).
-pub fn blocked_item_has_qualified_neighbors<V: NeighborView>(
-    view: &V,
-    hubs: &HubBitmaps,
-    v: ItemId,
-    bound: u32,
-    need: usize,
-    scratch: &mut KernelScratch,
-) -> bool {
-    if need == 0 {
-        return true;
-    }
-    if bound == 0 {
-        return item_has_qualified_neighbors(view, v, bound, need, &mut scratch.wedge);
-    }
-    let KernelScratch {
-        wedge,
-        cand_words,
-        cand_touched,
-        order,
-        ..
-    } = scratch;
-    wedge.clear();
-    for &w in cand_touched.iter() {
-        cand_words[w as usize] = 0;
-    }
-    cand_touched.clear();
-    order.clear();
-    view.for_each_item_neighbor(v, |u| order.push((view.user_degree(u) as u32, u.0)));
-    order.sort_unstable();
-    let m = order.len();
-    if (m as u32) < bound {
-        return false;
-    }
-    let open = m - (bound as usize - 1);
-    let mut qualified = 0usize;
-    let mut done = false;
-    for &(_, raw) in &order[..open] {
-        let u = UserId(raw);
-        view.for_each_user_neighbor_while(u, |v2| {
-            if v2 == v {
-                return true;
-            }
-            let idx = v2.index();
-            let (w, mask) = (idx / 64, 1u64 << (idx % 64));
-            if cand_words[w] & mask == 0 {
-                if cand_words[w] == 0 {
-                    cand_touched.push(w as u32);
-                }
-                cand_words[w] |= mask;
-                wedge.touched.push(v2.0);
-            }
-            wedge.counts[idx] += 1;
-            if wedge.counts[idx] == bound {
-                qualified += 1;
-                if qualified >= need {
-                    done = true;
-                    return false;
-                }
-            }
-            true
-        });
-        if done {
-            return true;
-        }
-    }
-    cand_touched.sort_unstable();
-    for &(_, raw) in &order[open..] {
-        let u = UserId(raw);
-        if let Some(hub) = hubs.user_hub_words(u) {
-            debug_assert_eq!(hub.len(), cand_words.len(), "hub/scratch space mismatch");
-            'blocks: for block in cand_touched.chunks(HUB_BLOCK_WORDS) {
-                for &w in block {
-                    let wi = w as usize;
-                    let mut and = cand_words[wi] & hub[wi];
-                    while and != 0 {
-                        let idx = wi * 64 + and.trailing_zeros() as usize;
-                        and &= and - 1;
-                        wedge.counts[idx] += 1;
-                        if wedge.counts[idx] == bound {
-                            qualified += 1;
-                            if qualified >= need {
-                                done = true;
-                                break 'blocks;
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            view.for_each_user_neighbor_while(u, |v2| {
-                let idx = v2.index();
-                if cand_words[idx / 64] & (1u64 << (idx % 64)) != 0 {
-                    wedge.counts[idx] += 1;
-                    if wedge.counts[idx] == bound {
-                        qualified += 1;
-                        if qualified >= need {
-                            done = true;
-                            return false;
-                        }
-                    }
-                }
-                true
-            });
-        }
-        if done {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,10 +553,10 @@ mod tests {
         b.build()
     }
 
-    fn counts_of(view: &GraphView<'_>, u: UserId) -> HashMap<UserId, u32> {
-        let mut scratch = CommonNeighborScratch::new(view.graph().num_users());
+    fn counts_of<V: NeighborView>(view: &V, u: UserId) -> HashMap<UserId, u32> {
+        let mut scratch = CommonNeighborScratch::new(view.num_users());
         let mut m = HashMap::new();
-        for_each_user_common_neighbor(view, u, &mut scratch, |o, c| {
+        for_each_common_neighbor(view, u, &mut scratch, |o, c| {
             m.insert(o, c);
         });
         m
@@ -832,24 +598,52 @@ mod tests {
         let g = sample();
         let view = GraphView::full(&g);
         let mut s = CommonNeighborScratch::new(g.num_users());
-        assert_eq!(user_two_hop_size(&view, UserId(0), &mut s), 2);
-        assert_eq!(user_two_hop_size(&view, UserId(3), &mut s), 1);
+        assert_eq!(two_hop_size(&view, UserId(0), &mut s), 2);
+        assert_eq!(two_hop_size(&view, UserId(3), &mut s), 1);
         let mut s = CommonNeighborScratch::new(g.num_items());
-        assert_eq!(item_two_hop_size(&view, ItemId(0), &mut s), 2); // i1 (via u0,u1), i2 (via u0)
+        // Item 0 reaches i1 (via u0, u1) and i2 (via u0).
+        assert_eq!(two_hop_size(&Transposed(&view), UserId(0), &mut s), 2);
     }
 
     #[test]
     fn item_side_counts() {
         let g = sample();
         let view = GraphView::full(&g);
-        let mut scratch = CommonNeighborScratch::new(g.num_items());
-        let mut m = HashMap::new();
-        for_each_item_common_neighbor(&view, ItemId(0), &mut scratch, |o, c| {
-            m.insert(o, c);
-        });
-        assert_eq!(m[&ItemId(1)], 2); // shared users u0, u1
-        assert_eq!(m[&ItemId(2)], 1); // shared user u0
-        assert_eq!(item_common_neighbors(&view, ItemId(0), ItemId(1)), 2);
+        // On the transposed view the "users" are the items.
+        let m = counts_of(&Transposed(&view), UserId(0));
+        assert_eq!(m[&UserId(1)], 2); // i0, i1 share users u0, u1
+        assert_eq!(m[&UserId(2)], 1); // i0, i2 share user u0
+        for (&other, &count) in &m {
+            let oracle = item_common_neighbors(&view, ItemId(0), ItemId(other.0));
+            assert_eq!(count, oracle);
+        }
+    }
+
+    /// The early-exit test against the full wedge count, for every alive
+    /// anchor on `view`'s user side.
+    fn assert_qualified_matches_full_count<V: NeighborView>(view: &V) {
+        let mut scratch = CommonNeighborScratch::new(view.num_users());
+        for u in (0..view.num_users() as u32).map(UserId) {
+            if !view.user_alive(u) {
+                continue;
+            }
+            for bound in 0..4u32 {
+                // bound 0 counts distinct partners.
+                let mut full = 0usize;
+                for_each_common_neighbor(view, u, &mut scratch, |_, c| {
+                    if c >= bound {
+                        full += 1;
+                    }
+                });
+                for need in 0..6usize {
+                    assert_eq!(
+                        has_qualified_neighbors(view, u, bound, need, &mut scratch),
+                        full >= need,
+                        "u={u:?} bound={bound} need={need} full={full}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -867,50 +661,8 @@ mod tests {
         let g = b.build();
         let mut view = GraphView::full(&g);
         view.remove_user(UserId(5));
-        let mut scratch = CommonNeighborScratch::new(g.num_users());
-        for u in (0..g.num_users() as u32).map(UserId) {
-            if !view.user_alive(u) {
-                continue;
-            }
-            for bound in 0..4u32 {
-                let mut full = 0usize;
-                for_each_user_common_neighbor(&view, u, &mut scratch, |_, c| {
-                    if c >= bound.max(1) {
-                        full += 1;
-                    }
-                });
-                if bound == 0 {
-                    // bound 0 counts distinct partners.
-                    full = 0;
-                    for_each_user_common_neighbor(&view, u, &mut scratch, |_, _| full += 1);
-                }
-                for need in 0..6usize {
-                    assert_eq!(
-                        user_has_qualified_neighbors(&view, u, bound, need, &mut scratch),
-                        full >= need,
-                        "u={u:?} bound={bound} need={need} full={full}"
-                    );
-                }
-            }
-        }
-        let mut iscratch = CommonNeighborScratch::new(g.num_items());
-        for v in (0..g.num_items() as u32).map(ItemId) {
-            for bound in 1..4u32 {
-                let mut full = 0usize;
-                for_each_item_common_neighbor(&view, v, &mut iscratch, |_, c| {
-                    if c >= bound {
-                        full += 1;
-                    }
-                });
-                for need in 0..6usize {
-                    assert_eq!(
-                        item_has_qualified_neighbors(&view, v, bound, need, &mut iscratch),
-                        full >= need,
-                        "v={v:?} bound={bound} need={need} full={full}"
-                    );
-                }
-            }
-        }
+        assert_qualified_matches_full_count(&view);
+        assert_qualified_matches_full_count(&Transposed(&view));
     }
 
     #[test]
@@ -918,7 +670,7 @@ mod tests {
         let g = sample();
         let view = GraphView::full(&g);
         let mut scratch = CommonNeighborScratch::new(g.num_users());
-        assert!(user_has_qualified_neighbors(
+        assert!(has_qualified_neighbors(
             &view,
             UserId(0),
             2,
@@ -929,7 +681,7 @@ mod tests {
         // with the SAME scratch must still be correct because it clears
         // first.
         let mut m = HashMap::new();
-        for_each_user_common_neighbor(&view, UserId(0), &mut scratch, |o, c| {
+        for_each_common_neighbor(&view, UserId(0), &mut scratch, |o, c| {
             m.insert(o, c);
         });
         assert_eq!(m[&UserId(1)], 2);
@@ -950,19 +702,40 @@ mod tests {
         let g = b.build();
         let view = GraphView::full(&g);
         let hubs = HubBitmaps::build(&view, 4, 1);
-        assert_eq!(hubs.item_hub_count(), 1, "only the top-1 item kept");
-        assert!(hubs.item_hub_words(ItemId(0)).is_some());
-        assert!(hubs.item_hub_words(ItemId(1)).is_none());
-        assert_eq!(hubs.item_hub_popcount(ItemId(0)), Some(8));
-        let words = hubs.item_hub_words(ItemId(0)).unwrap();
+        assert_eq!(hubs.items.count(), 1, "only the top-1 item kept");
+        assert!(hubs.items.words(ItemId(0)).is_some());
+        assert!(hubs.items.words(ItemId(1)).is_none());
+        assert_eq!(hubs.items.popcount(ItemId(0)), Some(8));
+        let words = hubs.items.words(ItemId(0)).unwrap();
         assert_eq!(words[0], 0xff, "users 0..8 set");
         assert!(hubs.heap_bytes() > 0);
         // Degree floor keeps sparse vertices out entirely.
         let none = HubBitmaps::build(&view, 100, 8);
-        assert_eq!(none.item_hub_count(), 0);
-        assert_eq!(none.user_hub_count(), 0);
+        assert_eq!(none.items.count(), 0);
+        assert_eq!(none.users.count(), 0);
         // The empty registry answers every lookup with a miss.
-        assert!(HubBitmaps::empty().item_hub_words(ItemId(0)).is_none());
+        assert!(HubBitmaps::empty().items.words(ItemId(0)).is_none());
+    }
+
+    #[test]
+    fn user_hubs_are_the_item_hubs_of_the_transposed_view() {
+        let mut b = GraphBuilder::new();
+        // User 2 clicks items 0..5; users 0 and 1 click one item each.
+        for v in 0..5u32 {
+            b.add_click(UserId(2), ItemId(v), 1);
+        }
+        b.add_click(UserId(0), ItemId(0), 1);
+        b.add_click(UserId(1), ItemId(6), 1);
+        let g = b.build();
+        let view = GraphView::full(&g);
+        let hubs = HubBitmaps::build(&view, 3, 4);
+        assert_eq!(hubs.users.count(), 1);
+        assert_eq!(hubs.items.count(), 0);
+        // Looked up by the hub's id on the transposed view's item side.
+        let words = hubs.users.words(ItemId(2)).expect("user 2 is a hub");
+        assert_eq!(words, &[0b1_1111], "items 0..5 over the 7-item space");
+        assert_eq!(hubs.users.popcount(ItemId(2)), Some(5));
+        assert!(hubs.users.words(ItemId(0)).is_none());
     }
 
     #[test]
@@ -975,9 +748,27 @@ mod tests {
         let mut view = GraphView::full(&g);
         view.remove_user(UserId(3));
         let hubs = HubBitmaps::build(&view, 1, 4);
-        let words = hubs.item_hub_words(ItemId(0)).unwrap();
+        let words = hubs.items.words(ItemId(0)).unwrap();
         assert_eq!(words[0], 0xff & !(1 << 3), "dead user excluded at build");
-        assert_eq!(hubs.item_hub_popcount(ItemId(0)), Some(7));
+        assert_eq!(hubs.items.popcount(ItemId(0)), Some(7));
+    }
+
+    /// Blocked ≡ wedge for every anchor on `view`'s user side, `hubs` being
+    /// the registry half over that side.
+    fn assert_blocked_matches_wedge<V: NeighborView>(view: &V, hubs: &HubSide, bounds: u32) {
+        let mut wedge = CommonNeighborScratch::new(view.num_users());
+        let mut ks = KernelScratch::new(view.num_users());
+        for u in (0..view.num_users() as u32).map(UserId) {
+            for bound in 0..bounds {
+                for need in 0..bounds as usize + 1 {
+                    assert_eq!(
+                        blocked_has_qualified_neighbors(view, hubs, u, bound, need, &mut ks),
+                        has_qualified_neighbors(view, u, bound, need, &mut wedge),
+                        "u={u:?} bound={bound} need={need}"
+                    );
+                }
+            }
+        }
     }
 
     /// The blocked kernel must agree with the wedge kernel everywhere —
@@ -1006,36 +797,8 @@ mod tests {
             HubBitmaps::build(&view, 4, 2),
             HubBitmaps::empty(),
         ] {
-            let mut wedge = CommonNeighborScratch::new(g.num_users());
-            let mut ks = KernelScratch::new(g.num_users());
-            for u in (0..g.num_users() as u32).map(UserId) {
-                for bound in 0..5u32 {
-                    for need in 0..6usize {
-                        assert_eq!(
-                            blocked_user_has_qualified_neighbors(
-                                &view, &registry, u, bound, need, &mut ks
-                            ),
-                            user_has_qualified_neighbors(&view, u, bound, need, &mut wedge),
-                            "u={u:?} bound={bound} need={need}"
-                        );
-                    }
-                }
-            }
-            let mut iwedge = CommonNeighborScratch::new(g.num_items());
-            let mut iks = KernelScratch::new(g.num_items());
-            for v in (0..g.num_items() as u32).map(ItemId) {
-                for bound in 0..5u32 {
-                    for need in 0..6usize {
-                        assert_eq!(
-                            blocked_item_has_qualified_neighbors(
-                                &view, &registry, v, bound, need, &mut iks
-                            ),
-                            item_has_qualified_neighbors(&view, v, bound, need, &mut iwedge),
-                            "v={v:?} bound={bound} need={need}"
-                        );
-                    }
-                }
-            }
+            assert_blocked_matches_wedge(&view, &registry.items, 5);
+            assert_blocked_matches_wedge(&Transposed(&view), &registry.users, 5);
         }
     }
 
@@ -1058,19 +821,8 @@ mod tests {
             view.remove_user(UserId(u));
         }
         view.remove_item(ItemId(2));
-        let mut wedge = CommonNeighborScratch::new(g.num_users());
-        let mut ks = KernelScratch::new(g.num_users());
-        for u in (0..g.num_users() as u32).map(UserId) {
-            for bound in 0..7u32 {
-                for need in 0..8usize {
-                    assert_eq!(
-                        blocked_user_has_qualified_neighbors(&view, &hubs, u, bound, need, &mut ks),
-                        user_has_qualified_neighbors(&view, u, bound, need, &mut wedge),
-                        "u={u:?} bound={bound} need={need}"
-                    );
-                }
-            }
-        }
+        assert_blocked_matches_wedge(&view, &hubs.items, 7);
+        assert_blocked_matches_wedge(&Transposed(&view), &hubs.users, 7);
     }
 
     #[test]
@@ -1081,17 +833,18 @@ mod tests {
         let mut ks = KernelScratch::new(g.num_users());
         // Early-exit call leaves the candidate bitmap dirty; the next call
         // (different anchor, different outcome) must still be exact.
-        assert!(blocked_user_has_qualified_neighbors(
+        let items = &hubs.items;
+        assert!(blocked_has_qualified_neighbors(
             &view,
-            &hubs,
+            items,
             UserId(0),
             2,
             1,
             &mut ks
         ));
-        assert!(!blocked_user_has_qualified_neighbors(
+        assert!(!blocked_has_qualified_neighbors(
             &view,
-            &hubs,
+            items,
             UserId(3),
             1,
             2,
@@ -1099,7 +852,7 @@ mod tests {
         ));
         // And the embedded wedge scratch is still clean for enumeration.
         let mut m = HashMap::new();
-        for_each_user_common_neighbor(&view, UserId(0), ks.wedge_mut(), |o, c| {
+        for_each_common_neighbor(&view, UserId(0), ks.wedge_mut(), |o, c| {
             m.insert(o, c);
         });
         assert_eq!(m[&UserId(1)], 2);
@@ -1113,9 +866,9 @@ mod tests {
         let mut scratch = CommonNeighborScratch::new(g.num_users());
         // Run twice with the same scratch: second result must be identical.
         let mut first = vec![];
-        for_each_user_common_neighbor(&view, UserId(0), &mut scratch, |o, c| first.push((o, c)));
+        for_each_common_neighbor(&view, UserId(0), &mut scratch, |o, c| first.push((o, c)));
         let mut second = vec![];
-        for_each_user_common_neighbor(&view, UserId(0), &mut scratch, |o, c| second.push((o, c)));
+        for_each_common_neighbor(&view, UserId(0), &mut scratch, |o, c| second.push((o, c)));
         first.sort();
         second.sort();
         assert_eq!(first, second);

@@ -10,6 +10,7 @@
 use crate::graph::BipartiteGraph;
 use crate::ids::{ItemId, UserId};
 use crate::subgraph::InducedSubgraph;
+use std::ops::{Deref, DerefMut};
 
 /// The query surface the pruning fixpoint and two-hop counters need from a
 /// deletion-tolerant graph view: alive predicates, live degrees, and
@@ -81,6 +82,72 @@ pub trait PruneView: NeighborView {
     /// view has died). `None` — the default — keeps pruning in place.
     fn compact(&self) -> Option<InducedSubgraph> {
         None
+    }
+}
+
+/// A view with its two sides exchanged: the *users* of `Transposed(&view)`
+/// are `view`'s items and the other way round, id for id.
+///
+/// Algorithm 3 states each rule once, for "a vertex", with `(k₁, k₂)`
+/// swapped by side. So do [`crate::twohop`], [`crate::frontier`] and the
+/// pruning fixpoint: they are written for the user side only, and the item
+/// side is the same code on the transposed view. Wraps a `&V` for queries or
+/// a `&mut V` where the caller also removes; every method forwards to its
+/// mirror, so the wrapper compiles away.
+#[derive(Debug)]
+pub struct Transposed<P>(pub P);
+
+impl<P: Deref<Target: NeighborView>> NeighborView for Transposed<P> {
+    #[inline]
+    fn num_users(&self) -> usize {
+        self.0.num_items()
+    }
+    #[inline]
+    fn num_items(&self) -> usize {
+        self.0.num_users()
+    }
+    #[inline]
+    fn user_alive(&self, u: UserId) -> bool {
+        self.0.item_alive(ItemId(u.0))
+    }
+    #[inline]
+    fn item_alive(&self, v: ItemId) -> bool {
+        self.0.user_alive(UserId(v.0))
+    }
+    #[inline]
+    fn user_degree(&self, u: UserId) -> usize {
+        self.0.item_degree(ItemId(u.0))
+    }
+    #[inline]
+    fn item_degree(&self, v: ItemId) -> usize {
+        self.0.user_degree(UserId(v.0))
+    }
+    #[inline]
+    fn for_each_user_neighbor_while(&self, u: UserId, mut f: impl FnMut(ItemId) -> bool) {
+        self.0
+            .for_each_item_neighbor_while(ItemId(u.0), |x| f(ItemId(x.0)));
+    }
+    #[inline]
+    fn for_each_item_neighbor_while(&self, v: ItemId, mut f: impl FnMut(UserId) -> bool) {
+        self.0
+            .for_each_user_neighbor_while(UserId(v.0), |x| f(UserId(x.0)));
+    }
+}
+
+impl<P: DerefMut<Target: PruneView>> PruneView for Transposed<P> {
+    #[inline]
+    fn alive_users(&self) -> usize {
+        self.0.alive_items()
+    }
+    #[inline]
+    fn alive_items(&self) -> usize {
+        self.0.alive_users()
+    }
+    fn remove_user(&mut self, u: UserId) {
+        self.0.remove_item(ItemId(u.0));
+    }
+    fn remove_item(&mut self, v: ItemId) {
+        self.0.remove_user(UserId(v.0));
     }
 }
 

@@ -3,10 +3,10 @@
 //! connects everyone to everyone.
 
 use ricd_graph::twohop::{
-    for_each_item_common_neighbor, for_each_user_common_neighbor, item_two_hop_size,
-    user_common_neighbors, user_two_hop_size, CommonNeighborScratch,
+    for_each_common_neighbor, item_common_neighbors, two_hop_size, user_common_neighbors,
+    CommonNeighborScratch,
 };
-use ricd_graph::{BipartiteGraph, GraphBuilder, GraphView, ItemId, UserId};
+use ricd_graph::{BipartiteGraph, GraphBuilder, GraphView, ItemId, Transposed, UserId};
 
 fn star(items: u32) -> BipartiteGraph {
     // One user clicking `items` distinct items.
@@ -62,9 +62,9 @@ fn single_user_side_has_no_user_neighbors() {
     let view = GraphView::full(&g);
     let mut scratch = CommonNeighborScratch::new(g.num_users());
     let mut seen = 0;
-    for_each_user_common_neighbor(&view, UserId(0), &mut scratch, |_, _| seen += 1);
+    for_each_common_neighbor(&view, UserId(0), &mut scratch, |_, _| seen += 1);
     assert_eq!(seen, 0, "a lone user has no two-hop user neighbors");
-    assert_eq!(user_two_hop_size(&view, UserId(0), &mut scratch), 0);
+    assert_eq!(two_hop_size(&view, UserId(0), &mut scratch), 0);
 }
 
 #[test]
@@ -72,12 +72,17 @@ fn single_user_side_items_all_share_that_user() {
     let g = star(5);
     let view = GraphView::full(&g);
     let mut scratch = CommonNeighborScratch::new(g.num_items());
-    // Every pair of items shares exactly the one user.
+    // Every pair of items shares exactly the one user. Items are the users
+    // of the transposed view.
+    let items = Transposed(&view);
     let mut counts = vec![];
-    for_each_item_common_neighbor(&view, ItemId(0), &mut scratch, |o, c| counts.push((o, c)));
+    for_each_common_neighbor(&items, UserId(0), &mut scratch, |o, c| counts.push((o, c)));
     assert_eq!(counts.len(), 4);
-    assert!(counts.iter().all(|&(_, c)| c == 1));
-    assert_eq!(item_two_hop_size(&view, ItemId(0), &mut scratch), 4);
+    for &(o, c) in &counts {
+        assert_eq!(c, 1);
+        assert_eq!(item_common_neighbors(&view, ItemId(0), ItemId(o.0)), 1);
+    }
+    assert_eq!(two_hop_size(&items, UserId(0), &mut scratch), 4);
 }
 
 #[test]
@@ -90,7 +95,7 @@ fn hub_connects_every_user_pair() {
     // Through the hub, user 0 reaches every other user with exactly one
     // shared item (the private items are private).
     let mut m = std::collections::HashMap::new();
-    for_each_user_common_neighbor(&view, UserId(0), &mut scratch, |o, c| {
+    for_each_common_neighbor(&view, UserId(0), &mut scratch, |o, c| {
         m.insert(o, c);
     });
     assert_eq!(m.len(), (n - 1) as usize);
@@ -110,7 +115,7 @@ fn removing_the_hub_disconnects_the_graph() {
     let mut scratch = CommonNeighborScratch::new(g.num_users());
     for u in 0..n {
         assert_eq!(
-            user_two_hop_size(&view, UserId(u), &mut scratch),
+            two_hop_size(&view, UserId(u), &mut scratch),
             0,
             "user {u} still reaches someone without the hub"
         );

@@ -105,7 +105,7 @@ proptest! {
         let view = GraphView::full(&g);
         let mut scratch = CommonNeighborScratch::new(g.num_users());
         for u in g.users().take(10) {
-            twohop::for_each_user_common_neighbor(&view, u, &mut scratch, |other, count| {
+            twohop::for_each_common_neighbor(&view, u, &mut scratch, |other, count| {
                 assert_eq!(count, twohop::user_common_neighbors(&view, u, other),
                            "mismatch for {u} vs {other}");
             });

@@ -1,6 +1,8 @@
 //! Differential property tests for the two two-hop survival kernels: the
 //! wedge-accumulation counter (the reference) and the cache-blocked SWAR
-//! kernel (`twohop::blocked_*_has_qualified_neighbors`).
+//! kernel (`twohop::blocked_has_qualified_neighbors`). Both are written for
+//! the user side of a view; items are checked as the users of the
+//! [`Transposed`] view against the registry's other half.
 //!
 //! The pruning fixpoint dispatches every SquarePruning removal decision to
 //! one of these kernels per anchor; the wedge test is the semantic
@@ -13,12 +15,11 @@
 use proptest::prelude::*;
 use ricd_graph::{
     twohop::{
-        blocked_item_has_qualified_neighbors, blocked_user_has_qualified_neighbors,
-        item_has_qualified_neighbors, user_has_qualified_neighbors, CommonNeighborScratch,
-        HubBitmaps, KernelScratch,
+        blocked_has_qualified_neighbors, has_qualified_neighbors, CommonNeighborScratch,
+        HubBitmaps, HubSide, KernelScratch,
     },
     CompactBigraph, CompactView, DeltaAdjacency, GraphBuilder, GraphView, ItemId, NeighborView,
-    UserId,
+    Transposed, UserId,
 };
 
 fn records() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
@@ -42,28 +43,28 @@ fn assert_kernels_agree<V: NeighborView>(
     bounds: std::ops::Range<u32>,
     needs: std::ops::Range<usize>,
 ) {
-    let mut wedge_u = CommonNeighborScratch::new(view.num_users());
-    let mut ks_u = KernelScratch::new(view.num_users());
+    assert_side_agrees("user", view, &hubs.items, bounds.clone(), needs.clone());
+    assert_side_agrees("item", &Transposed(view), &hubs.users, bounds, needs);
+}
+
+/// One side of [`assert_kernels_agree`]: every anchor on `view`'s user side.
+fn assert_side_agrees<V: NeighborView>(
+    side: &str,
+    view: &V,
+    hubs: &HubSide,
+    bounds: std::ops::Range<u32>,
+    needs: std::ops::Range<usize>,
+) {
+    let mut wedge = CommonNeighborScratch::new(view.num_users());
+    let mut ks = KernelScratch::new(view.num_users());
     for u in (0..view.num_users() as u32).map(UserId) {
         for bound in bounds.clone() {
             for need in needs.clone() {
                 assert_eq!(
-                    blocked_user_has_qualified_neighbors(view, hubs, u, bound, need, &mut ks_u),
-                    user_has_qualified_neighbors(view, u, bound, need, &mut wedge_u),
-                    "user {u} bound={bound} need={need}"
-                );
-            }
-        }
-    }
-    let mut wedge_i = CommonNeighborScratch::new(view.num_items());
-    let mut ks_i = KernelScratch::new(view.num_items());
-    for v in (0..view.num_items() as u32).map(ItemId) {
-        for bound in bounds.clone() {
-            for need in needs.clone() {
-                assert_eq!(
-                    blocked_item_has_qualified_neighbors(view, hubs, v, bound, need, &mut ks_i),
-                    item_has_qualified_neighbors(view, v, bound, need, &mut wedge_i),
-                    "item {v} bound={bound} need={need}"
+                    blocked_has_qualified_neighbors(view, hubs, u, bound, need, &mut ks),
+                    has_qualified_neighbors(view, u, bound, need, &mut wedge),
+                    "{side} {} bound={bound} need={need}",
+                    u.0
                 );
             }
         }
@@ -93,7 +94,7 @@ proptest! {
         let g = b.build();
         let mut view = GraphView::full(&g);
         let hubs = HubBitmaps::build(&view, 4, 64);
-        prop_assert!(hubs.item_hub_count() > 0, "the shared item must be a hub");
+        prop_assert!(hubs.items.count() > 0, "the shared item must be a hub");
         assert_kernels_agree(&view, &hubs, 0..5, 0..5);
         // And with the hub removed (registry now stale); still identical.
         view.remove_item(ItemId(0));
@@ -175,8 +176,8 @@ proptest! {
         // A registry rebuilt after the mass removal may be empty; the
         // blocked kernel must degrade to adjacency streaming and agree.
         let rebuilt = HubBitmaps::build(&view, 1000, 64);
-        prop_assert_eq!(rebuilt.item_hub_count(), 0);
-        prop_assert_eq!(rebuilt.user_hub_count(), 0);
+        prop_assert_eq!(rebuilt.items.count(), 0);
+        prop_assert_eq!(rebuilt.users.count(), 0);
         assert_kernels_agree(&view, &rebuilt, 0..4, 0..5);
     }
 
@@ -211,8 +212,8 @@ proptest! {
             for bound in 0..3u32 {
                 for need in 0..4usize {
                     prop_assert_eq!(
-                        blocked_user_has_qualified_neighbors(&dense, &hubs_d, u, bound, need, &mut k1),
-                        blocked_user_has_qualified_neighbors(&compact, &hubs_c, u, bound, need, &mut k2),
+                        blocked_has_qualified_neighbors(&dense, &hubs_d.items, u, bound, need, &mut k1),
+                        blocked_has_qualified_neighbors(&compact, &hubs_c.items, u, bound, need, &mut k2),
                         "user {} bound={} need={}", u, bound, need
                     );
                 }
@@ -237,16 +238,16 @@ fn blocked_kernel_exact_at_word_boundary_populations() {
         let g = b.build();
         let view = GraphView::full(&g);
         let hubs = HubBitmaps::build(&view, 1, 4);
-        assert!(hubs.item_hub_count() > 0, "the shared item must be a hub");
+        assert!(hubs.items.count() > 0, "the shared item must be a hub");
         let mut ks = KernelScratch::new(g.num_users());
         let mut wedge = CommonNeighborScratch::new(g.num_users());
         // Probe anchors at both ends; partners = everyone else.
         let partners = (n_users - 1) as usize;
         for u in [UserId(0), UserId(n_users - 1)] {
             for need in [partners - 1, partners, partners + 1] {
-                let want = user_has_qualified_neighbors(&view, u, 1, need, &mut wedge);
+                let want = has_qualified_neighbors(&view, u, 1, need, &mut wedge);
                 assert_eq!(
-                    blocked_user_has_qualified_neighbors(&view, &hubs, u, 1, need, &mut ks),
+                    blocked_has_qualified_neighbors(&view, &hubs.items, u, 1, need, &mut ks),
                     want,
                     "n_users={n_users} u={u} need={need}"
                 );
@@ -278,25 +279,25 @@ fn blocked_biclique_boundary_is_exact() {
     let hubs = HubBitmaps::build(&view, 1, 64);
     let mut ks = KernelScratch::new(g.num_users());
     for u in (0..nu).map(UserId) {
-        assert!(blocked_user_has_qualified_neighbors(
+        assert!(blocked_has_qualified_neighbors(
             &view,
-            &hubs,
+            &hubs.items,
             u,
             ni,
             (nu - 1) as usize,
             &mut ks
         ));
-        assert!(!blocked_user_has_qualified_neighbors(
+        assert!(!blocked_has_qualified_neighbors(
             &view,
-            &hubs,
+            &hubs.items,
             u,
             ni + 1,
             1,
             &mut ks
         ));
-        assert!(!blocked_user_has_qualified_neighbors(
+        assert!(!blocked_has_qualified_neighbors(
             &view,
-            &hubs,
+            &hubs.items,
             u,
             ni,
             nu as usize,
@@ -323,7 +324,7 @@ fn degree_one_chain_has_no_partners() {
     for u in (0..70u32).map(UserId) {
         for (bound, need, want) in [(1, 1, false), (0, 1, false), (3, 0, true)] {
             assert_eq!(
-                blocked_user_has_qualified_neighbors(&view, &hubs, u, bound, need, &mut ks),
+                blocked_has_qualified_neighbors(&view, &hubs.items, u, bound, need, &mut ks),
                 want,
                 "u={u} bound={bound} need={need}"
             );

@@ -58,13 +58,11 @@ struct ConnContext {
     io_timeout: Duration,
 }
 
-impl ConnContext {
-    /// Flips the shutdown flag and wakes the accept loop (which may be
-    /// parked in `accept()`) with a throwaway self-connection.
-    fn request_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
+/// Flips the shutdown flag and, the first time, wakes the accept loop (which
+/// may be parked in `accept()`) with a throwaway self-connection.
+fn request_shutdown(shutdown: &AtomicBool, addr: SocketAddr) {
+    if !shutdown.swap(true, Ordering::SeqCst) {
+        let _ = TcpStream::connect(addr);
     }
 }
 
@@ -147,9 +145,7 @@ impl ServerHandle {
 
     /// Requests a graceful shutdown: stop accepting, drain the queue.
     pub fn shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
+        request_shutdown(&self.shutdown, self.addr);
     }
 
     /// Waits for the accept loop and every connection to finish, then for
@@ -237,9 +233,7 @@ impl RouterHandle {
     /// Requests a graceful shutdown: stop accepting, drain every shard's
     /// replay log.
     pub fn shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
-        }
+        request_shutdown(&self.shutdown, self.addr);
     }
 
     /// Waits for the accept loop, connection threads, and every shard
@@ -495,8 +489,32 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) {
             return;
         }
         if is_shutdown {
-            ctx.request_shutdown();
+            request_shutdown(&ctx.shutdown, ctx.addr);
             return;
+        }
+    }
+}
+
+impl Shared {
+    /// Offers one batch of `len` records to the detection worker's bounded
+    /// queue: acknowledged, rejected when the queue is full (backpressure),
+    /// or refused once the worker is draining.
+    fn enqueue(&self, seq: u64, len: usize, work: Work) -> Response {
+        match self.work_tx.try_send(work) {
+            Ok(()) => {
+                self.metrics.ingest_queue_depth.add(1);
+                Response::Ingested { seq, records: len }
+            }
+            Err(TrySendError::Full(_)) => {
+                self.metrics.backpressure_rejected.inc();
+                Response::Rejected {
+                    seq,
+                    queue_capacity: self.queue_capacity,
+                }
+            }
+            Err(TrySendError::Disconnected(_)) => Response::Error {
+                message: "server is draining".into(),
+            },
         }
     }
 }
@@ -508,48 +526,10 @@ impl RequestSink for Shared {
     fn handle(&self, req: Request) -> Response {
         match req {
             Request::Ingest { seq, records } => {
-                let queued = records.len();
-                match self.work_tx.try_send(Work::Batch { seq, records }) {
-                    Ok(()) => {
-                        self.metrics.ingest_queue_depth.add(1);
-                        Response::Ingested {
-                            seq,
-                            records: queued,
-                        }
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        self.metrics.backpressure_rejected.inc();
-                        Response::Rejected {
-                            seq,
-                            queue_capacity: self.queue_capacity,
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => Response::Error {
-                        message: "server is draining".into(),
-                    },
-                }
+                self.enqueue(seq, records.len(), Work::Batch { seq, records })
             }
             Request::IngestTimed { seq, records } => {
-                let queued = records.len();
-                match self.work_tx.try_send(Work::TimedBatch { seq, records }) {
-                    Ok(()) => {
-                        self.metrics.ingest_queue_depth.add(1);
-                        Response::Ingested {
-                            seq,
-                            records: queued,
-                        }
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        self.metrics.backpressure_rejected.inc();
-                        Response::Rejected {
-                            seq,
-                            queue_capacity: self.queue_capacity,
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => Response::Error {
-                        message: "server is draining".into(),
-                    },
-                }
+                self.enqueue(seq, records.len(), Work::TimedBatch { seq, records })
             }
             Request::QueryRisk { users, items } => {
                 self.metrics.queries_risk.inc();

@@ -471,6 +471,21 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
     };
 
     let g = load_graph(input, flags.has("--lossy"), Some(&registry))?;
+    // The one flag that can only be checked against the loaded graph.
+    let seed_in_graph = |flag: &str, side: &str, id: u32, n: usize| {
+        if (id as usize) < n {
+            return Ok(());
+        }
+        Err(CliError::Usage(format!(
+            "{flag} {id} is not in the graph ({n} {side}, ids 0..{n})"
+        )))
+    };
+    for u in &seeds.users {
+        seed_in_graph("--seed-user", "users", u.0, g.num_users())?;
+    }
+    for v in &seeds.items {
+        seed_in_graph("--seed-item", "items", v.0, g.num_items())?;
+    }
     let pipeline = RicdPipeline::new(params)
         .with_seeds(seeds)
         .with_budget(budget)

@@ -401,6 +401,24 @@ fn detect_accepts_custom_parameters() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A seed id the graph does not have is a usage error naming the flag
+    // and the graph's size — not a panic reported as a degraded run.
+    for (flag, extra) in [
+        ("--seed-user", &[][..]),
+        ("--seed-item", &[][..]),
+        ("--seed-user", &["--shards", "2"][..]),
+    ] {
+        let out = ricd()
+            .args(["detect", "--input", clicks.to_str().unwrap()])
+            .args([flag, "999999999"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(err.contains(flag) && err.contains("ids 0.."), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
     let _ = std::fs::remove_file(clicks);
 }
 
