@@ -10,31 +10,16 @@
 use crate::budget::{BudgetClock, RunBudget};
 use crate::detect::{detect_groups_with, DetectedGroups, Seeds};
 use crate::extract::{FixpointMode, SquareStrategy};
-use crate::identify::rank_output;
+use crate::identify::{rank_output, RankedList};
 use crate::naive::{naive_detect, NaiveParams};
 use crate::params::RicdParams;
-use crate::result::{DetectionResult, RunStatus};
+use crate::result::{DetectionResult, RunStatus, SuspiciousGroup};
 use crate::screen::screen_groups;
 use crate::shard_run::{detect_groups_sharded, ShardAbort, ShardConfig};
-use ricd_engine::{PhaseTimings, WorkerPool};
-use ricd_graph::BipartiteGraph;
+use ricd_engine::{panic_message, PhaseTimings, WorkerPool};
+use ricd_graph::{BipartiteGraph, ItemId, UserId};
 use ricd_obs::{MetricsRegistry, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Runs a phase with panics contained, stringifying the payload. The pool
-/// already retries transient worker faults; a panic surfacing here is
-/// persistent, and the caller degrades rather than crashing the run.
-fn catch_phase<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
-        if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
 
 /// The configured RICD detector.
 ///
@@ -71,6 +56,62 @@ pub struct RicdPipeline {
     /// `degradation` / `budget.deadline_exceeded` events.
     pub metrics: MetricsRegistry,
 }
+
+/// Why the RICD modules were abandoned for the naive fallback, and at which
+/// phase — what [`RunStatus::Degraded`] reports.
+struct Abandoned {
+    reason: String,
+    phase: &'static str,
+}
+
+impl Abandoned {
+    /// A phase lost to a panic (or pool error) that outlived every retry.
+    fn panicked(phase: &'static str, msg: &str) -> Self {
+        Abandoned {
+            reason: format!("{phase} phase panicked persistently: {msg}"),
+            phase,
+        }
+    }
+}
+
+/// The live state of one run, which every [`phase`](Run::phase) step reads.
+struct Run<'a> {
+    metrics: &'a MetricsRegistry,
+    clock: BudgetClock,
+    timings: PhaseTimings,
+    root: Span,
+}
+
+impl Run<'_> {
+    /// Records a deadline trip as a budget-exhaustion event and abandons
+    /// the run at `phase`.
+    fn deadline_tripped(&self, phase: &'static str) -> Abandoned {
+        let budget = self.clock.budget();
+        let limit = budget.deadline.expect("a deadline trip implies a deadline");
+        let elapsed = self.clock.elapsed();
+        let reason = format!("deadline of {limit:?} exceeded ({elapsed:?} elapsed)");
+        self.metrics.event("budget.deadline_exceeded", &reason);
+        Abandoned { reason, phase }
+    }
+
+    /// One phase step: the deadline is checked at the boundary (a phase in
+    /// flight runs to completion), then `f` runs under the phase's span and
+    /// timing with panics contained. The pool already retries transient
+    /// worker faults, so a panic surfacing here is persistent.
+    fn phase<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> Result<T, Abandoned> {
+        if self.clock.deadline_exceeded() {
+            return Err(self.deadline_tripped(name));
+        }
+        catch_unwind(AssertUnwindSafe(|| {
+            let _span = self.root.child(name);
+            self.timings.time(name, f)
+        }))
+        .map_err(|p| Abandoned::panicked(name, &panic_message(p.as_ref())))
+    }
+}
+
+/// What a detector hands the report: groups plus the two ranked lists.
+type Report = (Vec<SuspiciousGroup>, RankedList<UserId>, RankedList<ItemId>);
 
 impl RicdPipeline {
     /// A pipeline with default pool/strategy, no seeds, and no budget.
@@ -133,63 +174,24 @@ impl RicdPipeline {
     /// with progressively relaxed parameters).
     ///
     /// The budget is checked at phase boundaries: once the deadline passes,
-    /// remaining RICD phases are abandoned in favor of the naive fallback
-    /// ([`naive_detect`], O(E) per phase) and the result is marked
+    /// the remaining RICD phases are abandoned in favor of the naive
+    /// fallback ([`naive_detect`], O(E) per phase) and the result is marked
     /// [`RunStatus::Degraded`]. Likewise for a phase panicking persistently
     /// (the pool's per-partition retries having already been spent). If the
     /// naive fallback itself panics, that panic propagates — at that point
     /// there is no cheaper detector left to degrade to.
     pub fn run_with(&self, g: &BipartiteGraph, params: &RicdParams) -> DetectionResult {
-        let clock = BudgetClock::start(self.budget);
-        let timings = PhaseTimings::new();
-        // Re-attach the pool to this pipeline's registry so per-partition
-        // health lands in the same snapshot, whatever the builder order was.
-        let pool = self.pool.clone().with_metrics(&self.metrics);
-        self.metrics.counter("pipeline.runs").inc();
-        let root = self.metrics.span("pipeline");
-
-        if clock.deadline_exceeded() {
-            self.note_deadline(&clock);
-            return self.degrade(
+        self.run_phases(g, params, |pool, _| {
+            Ok(detect_groups_with(
                 g,
+                &self.seeds,
                 params,
-                &pool,
-                &timings,
-                &root,
-                deadline_reason(&clock),
-                "detect",
-            );
-        }
-
-        // Module 1: suspicious group detection.
-        let detected = match catch_phase(|| {
-            let _span = root.child("detect");
-            timings.time("detect", || {
-                detect_groups_with(
-                    g,
-                    &self.seeds,
-                    params,
-                    &pool,
-                    self.strategy,
-                    self.mode,
-                    Some(&self.metrics),
-                )
-            })
-        }) {
-            Ok(d) => d,
-            Err(msg) => {
-                return self.degrade(
-                    g,
-                    params,
-                    &pool,
-                    &timings,
-                    &root,
-                    panic_reason("detect", &msg),
-                    "detect",
-                )
-            }
-        };
-        self.finish(g, params, detected, &clock, &pool, &timings, &root)
+                pool,
+                self.strategy,
+                self.mode,
+                Some(&self.metrics),
+            ))
+        })
     }
 
     /// Runs the pipeline with the detection module executed **sharded**: the
@@ -200,240 +202,85 @@ impl RicdPipeline {
     /// is provably identical to [`Self::run`]'s, so screening and
     /// identification proceed unchanged on the same output.
     ///
-    /// Degradation semantics match [`Self::run_with`]: a deadline trip at a
-    /// shard boundary, or a shard task panicking past the pool's retry
-    /// budget, falls back to the naive detector with a single `degradation`
-    /// event.
+    /// Everything but Module 1 is [`Self::run_with`]'s code. The shard
+    /// runtime additionally checks the deadline at shard boundaries and
+    /// aborts cleanly instead of finishing a partial (and therefore wrong)
+    /// merge; that, like a shard task failing past the pool's retry budget,
+    /// degrades the run at phase `detect`.
     pub fn run_sharded(&self, g: &BipartiteGraph, cfg: &ShardConfig) -> DetectionResult {
-        let params = &self.params;
-        let clock = BudgetClock::start(self.budget);
-        let timings = PhaseTimings::new();
-        let pool = self.pool.clone().with_metrics(&self.metrics);
-        self.metrics.counter("pipeline.runs").inc();
-        let root = self.metrics.span("pipeline");
-
-        if clock.deadline_exceeded() {
-            self.note_deadline(&clock);
-            return self.degrade(
+        self.run_phases(g, &self.params, |pool, clock| {
+            detect_groups_sharded(
                 g,
-                params,
-                &pool,
-                &timings,
-                &root,
-                deadline_reason(&clock),
-                "detect",
-            );
-        }
-
-        // Module 1, sharded. The runtime checks the deadline at shard
-        // boundaries through the closure; a trip aborts cleanly instead of
-        // finishing a partial (and therefore wrong) merge.
-        let outcome = catch_phase(|| {
-            let _span = root.child("detect");
-            timings.time("detect", || {
-                detect_groups_sharded(
-                    g,
-                    &self.seeds,
-                    params,
-                    &pool,
-                    cfg,
-                    &|| clock.deadline_exceeded(),
-                    Some(&self.metrics),
-                )
-            })
-        });
-        let detected = match outcome {
-            Ok(Ok(d)) => d,
-            Ok(Err(ShardAbort::DeadlineExceeded)) => {
-                self.note_deadline(&clock);
-                return self.degrade(
-                    g,
-                    params,
-                    &pool,
-                    &timings,
-                    &root,
-                    deadline_reason(&clock),
-                    "detect",
-                );
-            }
-            Ok(Err(ShardAbort::Engine(e))) => {
-                return self.degrade(
-                    g,
-                    params,
-                    &pool,
-                    &timings,
-                    &root,
-                    panic_reason("detect", &e.to_string()),
-                    "detect",
-                )
-            }
-            Err(msg) => {
-                return self.degrade(
-                    g,
-                    params,
-                    &pool,
-                    &timings,
-                    &root,
-                    panic_reason("detect", &msg),
-                    "detect",
-                )
-            }
-        };
-        self.finish(g, params, detected, &clock, &pool, &timings, &root)
+                &self.seeds,
+                &self.params,
+                pool,
+                cfg,
+                &|| clock.deadline_exceeded(),
+                Some(&self.metrics),
+            )
+        })
     }
 
-    /// The shared tail of every successful detection: extraction counters,
-    /// screening, the group cap, and identification. Both the unsharded and
-    /// sharded paths land here, so downstream behavior cannot drift.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
+    /// The one run path under [`Self::run_with`] and [`Self::run_sharded`]:
+    /// Module 1 is `detect`, everything else — budget clock, phase steps,
+    /// status decision, naive fallback — is shared.
+    fn run_phases(
         &self,
         g: &BipartiteGraph,
         params: &RicdParams,
-        detected: DetectedGroups,
-        clock: &BudgetClock,
-        pool: &WorkerPool,
-        timings: &PhaseTimings,
-        root: &Span,
+        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
     ) -> DetectionResult {
-        self.metrics
-            .inc_by("extract.rounds", detected.stats.rounds as u64);
-        self.metrics.inc_by(
-            "extract.core_removed_users",
-            detected.stats.core_removed_users as u64,
-        );
-        self.metrics.inc_by(
-            "extract.core_removed_items",
-            detected.stats.core_removed_items as u64,
-        );
-        self.metrics.inc_by(
-            "extract.square_removed_users",
-            detected.stats.square_removed_users as u64,
-        );
-        self.metrics.inc_by(
-            "extract.square_removed_items",
-            detected.stats.square_removed_items as u64,
-        );
-        self.metrics
-            .inc_by("extract.dirty_users", detected.stats.dirty_users as u64);
-        self.metrics
-            .inc_by("extract.dirty_items", detected.stats.dirty_items as u64);
-        self.metrics.inc_by(
-            "extract.skipped",
-            (detected.stats.skipped_users + detected.stats.skipped_items) as u64,
-        );
-        self.metrics
-            .inc_by("extract.compactions", detected.stats.compactions as u64);
-        self.metrics
-            .inc_by("extract.kernel_wedge", detected.stats.kernel_wedge);
-        self.metrics
-            .inc_by("extract.kernel_blocked", detected.stats.kernel_blocked);
-        self.metrics
-            .gauge("twohop.hub_bitmap_bytes")
-            .set(detected.stats.hub_bitmap_bytes as i64);
-        self.metrics
-            .inc_by("pipeline.groups_detected", detected.groups.len() as u64);
-        if clock.deadline_exceeded() {
-            self.note_deadline(clock);
-            return self.degrade(
-                g,
-                params,
-                pool,
-                timings,
-                root,
-                deadline_reason(clock),
-                "screen",
-            );
-        }
-
-        // Module 2: suspicious group screening.
-        let screened = match catch_phase(|| {
-            let _span = root.child("screen");
-            timings.time("screen", || screen_groups(g, detected.groups, params))
-        }) {
-            Ok((groups, stats)) => {
-                for (name, count) in [
-                    ("screen.users_removed", stats.users_removed),
-                    ("screen.items_removed", stats.items_removed),
-                    (
-                        "screen.hot_items_reclassified",
-                        stats.hot_items_reclassified,
-                    ),
-                    ("screen.groups_dropped", stats.groups_dropped),
-                    ("screen.edges_walked", stats.edges_walked),
-                ] {
-                    self.metrics.inc_by(name, count as u64);
-                }
-                groups
-            }
-            Err(msg) => {
-                return self.degrade(
-                    g,
-                    params,
-                    pool,
-                    timings,
-                    root,
-                    panic_reason("screen", &msg),
-                    "screen",
-                )
-            }
-        };
-        let screened_len = screened.len();
-        self.metrics
-            .inc_by("pipeline.groups_screened", screened_len as u64);
-        let (groups, capped) = self.cap_groups(screened);
-        if capped.is_some() {
-            self.metrics.inc_by(
-                "pipeline.groups_capped_dropped",
-                (screened_len - groups.len()) as u64,
-            );
-        }
-        if clock.deadline_exceeded() {
-            self.note_deadline(clock);
-            return self.degrade(
-                g,
-                params,
-                pool,
-                timings,
-                root,
-                deadline_reason(clock),
-                "identify",
-            );
-        }
-
-        // Module 3: suspicious group identification.
-        let (ranked_users, ranked_items) = match catch_phase(|| {
-            let _span = root.child("identify");
-            timings.time("identify", || rank_output(g, &groups))
-        }) {
-            Ok(r) => r,
-            Err(msg) => {
-                return self.degrade(
-                    g,
-                    params,
-                    pool,
-                    timings,
-                    root,
-                    panic_reason("identify", &msg),
-                    "identify",
-                )
-            }
+        let clock = BudgetClock::start(self.budget);
+        // Re-attach the pool to this pipeline's registry so per-partition
+        // health lands in the same snapshot, whatever the builder order was.
+        let pool = self.pool.clone().with_metrics(&self.metrics);
+        self.metrics.counter("pipeline.runs").inc();
+        let run = Run {
+            metrics: &self.metrics,
+            clock,
+            timings: PhaseTimings::new(),
+            root: self.metrics.span("pipeline"),
         };
 
-        let status = match capped {
-            // The cap is the only degradation left on this path (a deadline
-            // trip after capping took the `degrade` return above), so this
-            // is the run's single `degradation` event.
-            Some(reason) => {
+        // The run's one status decision, and so its one `degradation`
+        // event: the modules were abandoned, or their report was capped.
+        let (degraded, report) = match self.modules(g, params, &pool, &run, detect) {
+            Ok((report, capped)) => (
+                capped.map(|reason| Abandoned {
+                    reason,
+                    phase: "screen",
+                }),
+                Some(report),
+            ),
+            Err(abandoned) => (Some(abandoned), None),
+        };
+        let status = match degraded {
+            Some(Abandoned { reason, phase }) => {
                 self.metrics.counter("pipeline.runs_degraded").inc();
                 self.metrics.event("degradation", &reason);
                 RunStatus::Degraded {
                     reason,
-                    phase: "screen".to_string(),
+                    phase: phase.to_string(),
                 }
             }
             None => RunStatus::Complete,
         };
+        // The graceful-degradation path: the cheap naive detector.
+        let (groups, ranked_users, ranked_items) = report.unwrap_or_else(|| {
+            let naive_params = NaiveParams {
+                t_hot: params.t_hot,
+                ..NaiveParams::default()
+            };
+            let _span = run.root.child("naive-fallback");
+            let fallback = run
+                .timings
+                .time("naive-fallback", || naive_detect(g, &naive_params, &pool));
+            (
+                fallback.groups,
+                fallback.ranked_users,
+                fallback.ranked_items,
+            )
+        });
         self.metrics
             .gauge("pipeline.groups_output")
             .set(groups.len() as i64);
@@ -441,25 +288,102 @@ impl RicdPipeline {
             groups,
             ranked_users,
             ranked_items,
-            timings: timings.report(),
+            timings: run.timings.report(),
             status,
         };
         result.prune_empty();
         result
     }
 
-    /// Records a deadline trip as a budget-exhaustion event.
-    fn note_deadline(&self, clock: &BudgetClock) {
+    /// The three RICD modules, each one [`Run::phase`] step. `Ok` carries
+    /// the report and, if the group cap cut it, the reason.
+    fn modules(
+        &self,
+        g: &BipartiteGraph,
+        params: &RicdParams,
+        pool: &WorkerPool,
+        run: &Run,
+        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
+    ) -> Result<(Report, Option<String>), Abandoned> {
+        // Module 1: suspicious group detection.
+        let detected = run
+            .phase("detect", || detect(pool, &run.clock))?
+            .map_err(|abort| match abort {
+                ShardAbort::DeadlineExceeded => run.deadline_tripped("detect"),
+                ShardAbort::Engine(e) => Abandoned::panicked("detect", &e.to_string()),
+            })?;
+        let stats = &detected.stats;
+        for (name, count) in [
+            ("extract.rounds", stats.rounds as u64),
+            (
+                "extract.core_removed_users",
+                stats.core_removed_users as u64,
+            ),
+            (
+                "extract.core_removed_items",
+                stats.core_removed_items as u64,
+            ),
+            (
+                "extract.square_removed_users",
+                stats.square_removed_users as u64,
+            ),
+            (
+                "extract.square_removed_items",
+                stats.square_removed_items as u64,
+            ),
+            ("extract.dirty_users", stats.dirty_users as u64),
+            ("extract.dirty_items", stats.dirty_items as u64),
+            (
+                "extract.skipped",
+                (stats.skipped_users + stats.skipped_items) as u64,
+            ),
+            ("extract.compactions", stats.compactions as u64),
+            ("extract.kernel_wedge", stats.kernel_wedge),
+            ("extract.kernel_blocked", stats.kernel_blocked),
+            ("pipeline.groups_detected", detected.groups.len() as u64),
+        ] {
+            self.metrics.inc_by(name, count);
+        }
         self.metrics
-            .event("budget.deadline_exceeded", &deadline_reason(clock));
+            .gauge("twohop.hub_bitmap_bytes")
+            .set(stats.hub_bitmap_bytes as i64);
+
+        // Module 2: suspicious group screening.
+        let (screened, stats) =
+            run.phase("screen", || screen_groups(g, detected.groups, params))?;
+        for (name, count) in [
+            ("screen.users_removed", stats.users_removed),
+            ("screen.items_removed", stats.items_removed),
+            (
+                "screen.hot_items_reclassified",
+                stats.hot_items_reclassified,
+            ),
+            ("screen.groups_dropped", stats.groups_dropped),
+            ("screen.edges_walked", stats.edges_walked),
+            ("pipeline.groups_screened", screened.len()),
+        ] {
+            self.metrics.inc_by(name, count as u64);
+        }
+        let screened_len = screened.len();
+        let (groups, capped) = self.cap_groups(screened);
+        if capped.is_some() {
+            self.metrics.inc_by(
+                "pipeline.groups_capped_dropped",
+                (screened_len - groups.len()) as u64,
+            );
+        }
+
+        // Module 3: suspicious group identification.
+        let (ranked_users, ranked_items) = run.phase("identify", || rank_output(g, &groups))?;
+        Ok(((groups, ranked_users, ranked_items), capped))
     }
 
     /// Applies the `max_groups` cap, keeping the largest groups (ties by
     /// original order) and reporting what was dropped.
     fn cap_groups(
         &self,
-        mut groups: Vec<crate::result::SuspiciousGroup>,
-    ) -> (Vec<crate::result::SuspiciousGroup>, Option<String>) {
+        mut groups: Vec<SuspiciousGroup>,
+    ) -> (Vec<SuspiciousGroup>, Option<String>) {
         let Some(cap) = self.budget.max_groups else {
             return (groups, None);
         };
@@ -485,65 +409,6 @@ impl RicdPipeline {
             )),
         )
     }
-
-    /// The graceful-degradation path: run the cheap naive detector and mark
-    /// the result with why the full pipeline was abandoned.
-    #[allow(clippy::too_many_arguments)] // internal helper; args are the run's live state
-    fn degrade(
-        &self,
-        g: &BipartiteGraph,
-        params: &RicdParams,
-        pool: &WorkerPool,
-        timings: &PhaseTimings,
-        span: &Span,
-        reason: String,
-        phase: &str,
-    ) -> DetectionResult {
-        // Every degraded run passes through exactly one of the two
-        // final-status decision sites (here, or the group-cap branch in
-        // `run_with`), so each run emits exactly one `degradation` event.
-        self.metrics.counter("pipeline.runs_degraded").inc();
-        self.metrics.event("degradation", &reason);
-        let naive_params = NaiveParams {
-            t_hot: params.t_hot,
-            ..NaiveParams::default()
-        };
-        let fallback = {
-            let _span = span.child("naive-fallback");
-            timings.time("naive-fallback", || naive_detect(g, &naive_params, pool))
-        };
-        self.metrics
-            .gauge("pipeline.groups_output")
-            .set(fallback.groups.len() as i64);
-        let mut result = DetectionResult {
-            groups: fallback.groups,
-            ranked_users: fallback.ranked_users,
-            ranked_items: fallback.ranked_items,
-            timings: timings.report(),
-            status: RunStatus::Degraded {
-                reason,
-                phase: phase.to_string(),
-            },
-        };
-        result.prune_empty();
-        result
-    }
-}
-
-fn deadline_reason(clock: &BudgetClock) -> String {
-    let limit = clock
-        .budget()
-        .deadline
-        .expect("deadline_exceeded implies a deadline");
-    format!(
-        "deadline of {:?} exceeded ({:?} elapsed)",
-        limit,
-        clock.elapsed()
-    )
-}
-
-fn panic_reason(phase: &str, msg: &str) -> String {
-    format!("{phase} phase panicked persistently: {msg}")
 }
 
 #[cfg(test)]
@@ -944,6 +809,69 @@ mod tests {
         }
         assert_eq!(registry.event_count("degradation"), 1);
         assert!(r.timings.get("naive-fallback").is_some());
+    }
+
+    /// Runs `run_phases` with a stand-in Module 1 (under a generous
+    /// deadline, so a reported trip has a limit to quote) and checks what
+    /// every abandoned `detect` shares: phase, one `degradation` event, the
+    /// fallback's timing. Returns the reason and the event names in order.
+    fn abandoned_at_detect(
+        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
+    ) -> (String, Vec<String>) {
+        use std::time::Duration;
+        let registry = MetricsRegistry::new();
+        let pipeline = RicdPipeline::new(RicdParams::default())
+            .with_metrics(registry.clone())
+            .with_budget(RunBudget::none().with_deadline(Duration::from_secs(600)));
+        let r = pipeline.run_phases(&scenario(), &pipeline.params, detect);
+        let RunStatus::Degraded { reason, phase } = r.status else {
+            panic!("a lost Module 1 must degrade the run");
+        };
+        assert_eq!(phase, "detect");
+        assert!(r.timings.get("naive-fallback").is_some());
+        assert!(r.timings.get("screen").is_none(), "screen never ran");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("pipeline.runs_degraded"), Some(1));
+        let events: Vec<String> = snap.events.iter().map(|e| e.name.clone()).collect();
+        let degradations = events.iter().filter(|n| *n == "degradation").count();
+        assert_eq!(degradations, 1, "{events:?}");
+        (reason, events)
+    }
+
+    #[test]
+    fn engine_error_from_module_one_degrades_at_detect() {
+        let (reason, events) = abandoned_at_detect(|_, _| {
+            Err(ShardAbort::Engine(
+                ricd_engine::EngineError::PartitionPanicked {
+                    partition: 3,
+                    attempts: ricd_engine::MAX_PARTITION_ATTEMPTS,
+                    message: "shard task bug".to_string(),
+                },
+            ))
+        });
+        assert!(
+            reason.starts_with("detect phase panicked persistently: partition 3 panicked"),
+            "{reason}"
+        );
+        assert!(reason.contains("shard task bug"), "{reason}");
+        assert_eq!(events, ["degradation"]);
+    }
+
+    #[test]
+    fn deadline_abort_from_module_one_degrades_at_detect() {
+        let (reason, events) = abandoned_at_detect(|_, _| Err(ShardAbort::DeadlineExceeded));
+        assert!(
+            reason.starts_with("deadline of 600s exceeded ("),
+            "{reason}"
+        );
+        assert_eq!(events, ["budget.deadline_exceeded", "degradation"]);
+    }
+
+    #[test]
+    fn panicking_module_one_degrades_at_detect() {
+        let (reason, events) = abandoned_at_detect(|_, _| panic!("module one bug"));
+        assert_eq!(reason, "detect phase panicked persistently: module one bug");
+        assert_eq!(events, ["degradation"]);
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //! cannot abort a day's detection run because one partition crashed. Every
 //! scheduling primitive therefore has a `try_*` form returning
 //! [`EngineError`]; the infallible forms built on them panic only after the
-//! retry budget is exhausted. Worker panics are contained with
-//! `catch_unwind`, failed partitions are retried on fresh threads, and the
-//! last attempt runs sequentially on the calling thread. [`fault`] provides
-//! the deterministic fault-injection hooks the chaos suite drives this with.
+//! retry budget is exhausted. The contract itself — contained panics, a
+//! retry on a fresh thread, a last attempt inline on the caller — is stated
+//! once, on [`WorkerPool`], and implemented once, in the scheduler core all
+//! three entry points call. [`fault`] provides the deterministic
+//! fault-injection hooks the chaos suite drives this with.
 
 pub mod error;
 pub mod fault;
@@ -39,5 +40,5 @@ pub mod timing;
 pub use error::EngineError;
 pub use fault::{FaultInjector, FaultPlan, ServeFault, ServeFaultInjector, ServeFaultPlan};
 pub use partition::partition_ranges;
-pub use pool::{PoolMetrics, WorkerPool, MAX_PARTITION_ATTEMPTS};
+pub use pool::{panic_message, PoolMetrics, WorkerPool, MAX_PARTITION_ATTEMPTS};
 pub use timing::{PhaseTimings, Stopwatch};

@@ -7,15 +7,15 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Attempts made per partition before a round is declared failed: the
-/// initial parallel run, one parallel retry on a fresh thread, and a final
+/// Attempts made per unit before a round is declared failed: the initial
+/// parallel run, one parallel retry on a fresh thread, and a final
 /// sequential fallback inline on the calling thread.
 pub const MAX_PARTITION_ATTEMPTS: usize = 3;
 
-/// Runs a closure with panics contained, stringifying the payload.
-fn call_caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
-}
+/// What a unit claimed by a worker that died outright reports. Closure
+/// panics are contained per unit, so this is allocation-failure territory;
+/// the unit goes through the retry ladder like any other failure.
+const WORKER_LOST: &str = "worker thread lost before reporting";
 
 /// Deterministic chunk size for worklist scheduling: small enough that a
 /// Zipf-skewed head cannot serialize the round behind one chunk, large
@@ -24,7 +24,9 @@ fn worklist_chunk_size(len: usize, workers: usize) -> usize {
     (len / (workers * 16)).clamp(64, 8192)
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+/// Stringifies a panic payload (what `catch_unwind` and a failed `join`
+/// hand back).
+pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -36,8 +38,10 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 
 /// Registered metric handles for a [`WorkerPool`].
 ///
-/// Counter semantics are chosen so the fault-model invariants hold by
-/// construction, round by round and therefore cumulatively:
+/// A *partition* here is one schedulable unit of a round — a range, a
+/// worklist chunk or a task, see [`WorkerPool`]. Counter semantics are
+/// chosen so the fault-model invariants hold by construction, round by
+/// round and therefore cumulatively:
 ///
 /// * `pool.partitions_started` — partitions launched (initial attempts only;
 ///   retries do not re-count). `pool.partitions_failed ≤
@@ -84,11 +88,28 @@ impl PoolMetrics {
 /// A fixed-width pool executing bulk-synchronous vertex rounds on scoped
 /// threads.
 ///
-/// Each primitive partitions the vertex range, runs one closure instance per
-/// worker, and joins before returning — the same superstep-with-barrier model
-/// Grape exposes. Threads are spawned per round; for the round sizes in this
-/// workload (tens of thousands to millions of vertices) spawn cost is noise,
-/// and scoped threads let closures borrow the graph without `Arc`.
+/// A round is a list of *units* — even ranges of a dense index space
+/// ([`try_run_partitioned`](Self::try_run_partitioned)), small chunks of a
+/// sparse worklist ([`try_run_worklist`](Self::try_run_worklist)) or
+/// coarse tasks ([`try_run_tasks`](Self::try_run_tasks)) — executed in
+/// parallel and joined before returning: the same superstep-with-barrier
+/// model Grape exposes. Threads are spawned per round; for the round sizes
+/// in this workload (tens of thousands to millions of vertices) spawn cost
+/// is noise, and scoped threads let closures borrow the graph without `Arc`.
+///
+/// # Fault contract
+///
+/// All three entry points schedule through one core, so one contract holds
+/// for every kind of unit. A panic in a unit's closure does not abort the
+/// round or poison the other units: the failed unit is retried on a fresh
+/// thread with fresh worker state, then once more sequentially on the
+/// calling thread ([`MAX_PARTITION_ATTEMPTS`] attempts in all), and only if
+/// that also panics does the round fail, with
+/// [`EngineError::PartitionPanicked`] naming the first such unit. Retrying
+/// re-invokes the closure on the same unit, so closures must be pure (or at
+/// least idempotent per unit) — everything the detection pipeline submits
+/// is. Units double as partitions for the `pool.*` metric family
+/// ([`PoolMetrics`]).
 #[derive(Clone, Debug)]
 pub struct WorkerPool {
     workers: usize,
@@ -131,6 +152,129 @@ impl WorkerPool {
         self.workers
     }
 
+    /// The scheduler core under every entry point: runs `unit(&mut state,
+    /// i)` once per `i in 0..units` and returns the results in unit order,
+    /// under the [fault contract](Self#fault-contract).
+    ///
+    /// `min(workers, units)` scoped threads claim unit indices through an
+    /// atomic cursor, so whatever the cost skew every thread stays busy
+    /// until the list drains; when that minimum is 1 everything runs inline
+    /// on the caller and no thread is spawned. `init` builds a worker's
+    /// scratch state lazily, on the first unit it claims; the state is
+    /// reused across that worker's units and dropped when a unit panics
+    /// (the panic may have left it inconsistent), so no later unit ever
+    /// sees it.
+    fn run_units<S, T, I, U>(&self, units: usize, init: I, unit: U) -> Result<Vec<T>, EngineError>
+    where
+        T: Send,
+        I: Fn() -> S + Sync,
+        U: Fn(&mut S, usize) -> T + Sync,
+    {
+        let metrics = self.metrics.as_ref();
+        // One timed, panic-contained execution of unit `i`, first or repeat.
+        let attempt = |state: &mut Option<S>, i: usize| -> Result<T, String> {
+            let st = state.get_or_insert_with(&init);
+            let started = metrics.map(|m| m.registry.clock().now());
+            let res = catch_unwind(AssertUnwindSafe(|| unit(st, i)))
+                .map_err(|p| panic_message(p.as_ref()));
+            if let (Some(m), Some(started)) = (metrics, started) {
+                let spent = m.registry.clock().now().saturating_sub(started);
+                m.partition_nanos.observe_duration(spent);
+            }
+            if res.is_err() {
+                *state = None;
+            }
+            res
+        };
+        let attempt = &attempt;
+
+        let threads = self.workers.min(units);
+        let mut slots: Vec<Result<T, String>> = if threads <= 1 {
+            let mut state = None;
+            (0..units).map(|i| attempt(&mut state, i)).collect()
+        } else {
+            let cursor = AtomicUsize::new(0);
+            let claimed: Vec<Vec<(usize, Result<T, String>)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let (mut state, mut done) = (None, Vec::new());
+                            loop {
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                if i >= units {
+                                    break done;
+                                }
+                                done.push((i, attempt(&mut state, i)));
+                            }
+                        })
+                    })
+                    .collect();
+                handles.into_iter().filter_map(|h| h.join().ok()).collect()
+            });
+            let mut slots: Vec<_> = (0..units).map(|_| Err(WORKER_LOST.to_string())).collect();
+            for (i, res) in claimed.into_iter().flatten() {
+                slots[i] = res;
+            }
+            slots
+        };
+        if let Some(m) = metrics {
+            m.partitions_started.add(units as u64);
+            m.panics_caught
+                .add(slots.iter().filter(|s| s.is_err()).count() as u64);
+        }
+
+        for attempt_no in 1..MAX_PARTITION_ATTEMPTS {
+            let failed: Vec<usize> = (0..units).filter(|&i| slots[i].is_err()).collect();
+            if failed.is_empty() {
+                break;
+            }
+            let sequential = attempt_no + 1 == MAX_PARTITION_ATTEMPTS;
+            if let Some(m) = metrics {
+                m.retries.add(failed.len() as u64);
+                if sequential {
+                    m.fallback_sequential.add(failed.len() as u64);
+                }
+            }
+            if sequential {
+                // Last attempt: inline on the calling thread with fresh
+                // state, so a fault tied to worker-thread state or a
+                // poisoned scratch cannot recur.
+                for i in failed {
+                    slots[i] = attempt(&mut None, i);
+                }
+            } else {
+                let retried: Vec<Result<T, String>> = std::thread::scope(|s| {
+                    let handles: Vec<_> = failed
+                        .iter()
+                        .map(|&i| s.spawn(move || attempt(&mut None, i)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
+                        .collect()
+                });
+                for (i, res) in failed.into_iter().zip(retried) {
+                    slots[i] = res;
+                }
+            }
+        }
+        if let Some(m) = metrics {
+            m.partitions_failed
+                .add(slots.iter().filter(|s| s.is_err()).count() as u64);
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(partition, slot)| {
+                slot.map_err(|message| EngineError::PartitionPanicked {
+                    partition,
+                    attempts: MAX_PARTITION_ATTEMPTS,
+                    message,
+                })
+            })
+            .collect()
+    }
+
     /// Runs `f(range)` once per partition of `0..n`, in parallel, returning
     /// the per-partition results in partition order.
     ///
@@ -146,124 +290,17 @@ impl WorkerPool {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fault-isolated [`run_partitioned`](Self::run_partitioned): a panic in
-    /// one partition's closure does not abort the round or poison the other
-    /// partitions.
-    ///
-    /// Failed partitions are retried on fresh threads, then once more
-    /// sequentially on the calling thread ([`MAX_PARTITION_ATTEMPTS`] total
-    /// attempts). Only if the sequential fallback also panics does the round
-    /// fail, with [`EngineError::PartitionPanicked`] naming the partition.
-    ///
-    /// Retrying re-invokes `f` on the failed range, so closures must be pure
-    /// (or at least idempotent per partition) for retries to be safe —
-    /// everything the detection pipeline submits is.
+    /// Fault-isolated [`run_partitioned`](Self::run_partitioned): the units
+    /// are the (at most `workers`) even slices
+    /// [`partition_ranges`] cuts `0..n` into, run under the
+    /// [fault contract](Self#fault-contract).
     pub fn try_run_partitioned<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, EngineError>
     where
         T: Send,
         F: Fn(Range<usize>) -> T + Sync,
     {
         let ranges = partition_ranges(n, self.workers);
-        let f = &f;
-        let metrics = self.metrics.as_ref();
-        // One timed, panic-contained partition execution (initial or retry).
-        let run_one = |r: Range<usize>| -> Result<T, String> {
-            match metrics {
-                Some(m) => {
-                    let clock = m.registry.clock();
-                    let started = clock.now();
-                    let res = call_caught(|| f(r));
-                    m.partition_nanos
-                        .observe_duration(clock.now().saturating_sub(started));
-                    res
-                }
-                None => call_caught(|| f(r)),
-            }
-        };
-        let run_one = &run_one;
-        let mut slots: Vec<Result<T, String>> = if ranges.len() <= 1 {
-            ranges.clone().into_iter().map(run_one).collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .cloned()
-                    .map(|r| s.spawn(move || run_one(r)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))))
-                    .collect()
-            })
-        };
-        if let Some(m) = metrics {
-            m.partitions_started.add(ranges.len() as u64);
-            m.panics_caught
-                .add(slots.iter().filter(|s| s.is_err()).count() as u64);
-        }
-        for attempt in 1..MAX_PARTITION_ATTEMPTS {
-            let failed: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.is_err().then_some(i))
-                .collect();
-            if failed.is_empty() {
-                break;
-            }
-            if let Some(m) = metrics {
-                m.retries.add(failed.len() as u64);
-            }
-            if attempt + 1 == MAX_PARTITION_ATTEMPTS {
-                // Final attempt: sequentially on the calling thread, so a
-                // fault tied to worker-thread state cannot recur.
-                if let Some(m) = metrics {
-                    m.fallback_sequential.add(failed.len() as u64);
-                }
-                for i in failed {
-                    slots[i] = run_one(ranges[i].clone());
-                }
-            } else {
-                let retried: Vec<(usize, Result<T, String>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = failed
-                        .into_iter()
-                        .map(|i| {
-                            let r = ranges[i].clone();
-                            (i, s.spawn(move || run_one(r)))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(i, h)| {
-                            (
-                                i,
-                                h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))),
-                            )
-                        })
-                        .collect()
-                });
-                for (i, res) in retried {
-                    slots[i] = res;
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            m.partitions_failed
-                .add(slots.iter().filter(|s| s.is_err()).count() as u64);
-        }
-        let mut out = Vec::with_capacity(slots.len());
-        for (partition, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Ok(t) => out.push(t),
-                Err(message) => {
-                    return Err(EngineError::PartitionPanicked {
-                        partition,
-                        attempts: MAX_PARTITION_ATTEMPTS,
-                        message,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.run_units(ranges.len(), || (), |_, i| f(ranges[i].clone()))
     }
 
     /// Runs `f` over a sparse worklist with dynamic (work-stealing-style)
@@ -285,23 +322,17 @@ impl WorkerPool {
     /// Fault-isolated dynamic scheduling over a sparse `&[u32]` worklist.
     ///
     /// Unlike [`try_run_partitioned`](Self::try_run_partitioned), which
-    /// splits a dense index range into `workers` even slices, this cuts the
-    /// worklist into many small chunks and lets workers claim them through an
-    /// atomic cursor. With Zipf-skewed degrees an even split piles the
-    /// expensive head vertices into one slice and the round waits on it;
-    /// small claimed-on-demand chunks keep every worker busy until the list
-    /// drains.
+    /// splits a dense index range into `workers` even slices, the units
+    /// here are many small chunks of the worklist. With Zipf-skewed degrees
+    /// an even split piles the expensive head vertices into one slice and
+    /// the round waits on it; small claimed-on-demand chunks keep every
+    /// worker busy until the list drains.
     ///
     /// `init` builds a per-worker scratch state, created lazily on a
     /// worker's first claimed chunk and reused across all its chunks, so an
     /// `O(V)` scratch is paid once per worker rather than once per chunk.
-    /// `f(&mut state, chunk)` processes one chunk of worklist entries.
-    ///
-    /// The PR 1 fault contract carries over: a panicking chunk does not
-    /// abort the round; it is retried on a fresh thread with fresh state
-    /// (the panic may have left the shared scratch inconsistent), then once
-    /// more sequentially inline ([`MAX_PARTITION_ATTEMPTS`] total attempts).
-    /// Chunks double as partitions for the `pool.*` metric family.
+    /// `f(&mut state, chunk)` processes one chunk of worklist entries, under
+    /// the [fault contract](Self#fault-contract).
     pub fn try_run_worklist<S, T, I, F>(
         &self,
         worklist: &[u32],
@@ -313,321 +344,30 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, &[u32]) -> T + Sync,
     {
-        if worklist.is_empty() {
-            return Ok(Vec::new());
-        }
         let chunk = worklist_chunk_size(worklist.len(), self.workers);
-        let num_chunks = worklist.len().div_ceil(chunk);
-        let metrics = self.metrics.as_ref();
-        let f = &f;
-        let init = &init;
-        let chunk_slice = move |i: usize| -> &[u32] {
-            &worklist[i * chunk..((i + 1) * chunk).min(worklist.len())]
-        };
-        // One timed, panic-contained chunk execution (initial or retry).
-        let run_one = |state: &mut S, i: usize| -> Result<T, String> {
-            match metrics {
-                Some(m) => {
-                    let clock = m.registry.clock();
-                    let started = clock.now();
-                    let res = call_caught(|| f(state, chunk_slice(i)));
-                    m.partition_nanos
-                        .observe_duration(clock.now().saturating_sub(started));
-                    res
-                }
-                None => call_caught(|| f(state, chunk_slice(i))),
-            }
-        };
-        let run_one = &run_one;
-        let mut slots: Vec<Option<Result<T, String>>> = (0..num_chunks).map(|_| None).collect();
-        if self.workers == 1 || num_chunks == 1 {
-            let mut state = init();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let res = run_one(&mut state, i);
-                if res.is_err() {
-                    // The panic may have left the scratch inconsistent.
-                    state = init();
-                }
-                *slot = Some(res);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let threads = self.workers.min(num_chunks);
-            let per_worker: Vec<Vec<(usize, Result<T, String>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        s.spawn(move || {
-                            let mut done = Vec::new();
-                            let mut state: Option<S> = None;
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= num_chunks {
-                                    break;
-                                }
-                                let st = state.get_or_insert_with(init);
-                                let res = run_one(st, i);
-                                if res.is_err() {
-                                    state = None;
-                                }
-                                done.push((i, res));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles.into_iter().filter_map(|h| h.join().ok()).collect()
-            });
-            for (i, res) in per_worker.into_iter().flatten() {
-                slots[i] = Some(res);
-            }
-            // Chunks claimed by a worker whose thread died outright (run_one
-            // contains closure panics, so this is allocation-failure
-            // territory) surface as unfilled slots; fold them into the retry
-            // path like any other failure.
-            for slot in slots.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(Err("worker thread lost before reporting".to_string()));
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            m.partitions_started.add(num_chunks as u64);
-            m.panics_caught
-                .add(slots.iter().filter(|s| matches!(s, Some(Err(_)))).count() as u64);
-        }
-        for attempt in 1..MAX_PARTITION_ATTEMPTS {
-            let failed: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| matches!(s, Some(Err(_)) | None).then_some(i))
-                .collect();
-            if failed.is_empty() {
-                break;
-            }
-            if let Some(m) = metrics {
-                m.retries.add(failed.len() as u64);
-            }
-            if attempt + 1 == MAX_PARTITION_ATTEMPTS {
-                // Final attempt: sequentially on the calling thread with
-                // fresh state, so a fault tied to worker-thread state or a
-                // poisoned scratch cannot recur.
-                if let Some(m) = metrics {
-                    m.fallback_sequential.add(failed.len() as u64);
-                }
-                for i in failed {
-                    let mut state = init();
-                    slots[i] = Some(run_one(&mut state, i));
-                }
-            } else {
-                let retried: Vec<(usize, Result<T, String>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = failed
-                        .into_iter()
-                        .map(|i| {
-                            (
-                                i,
-                                s.spawn(move || {
-                                    let mut state = init();
-                                    run_one(&mut state, i)
-                                }),
-                            )
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(i, h)| {
-                            (
-                                i,
-                                h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))),
-                            )
-                        })
-                        .collect()
-                });
-                for (i, res) in retried {
-                    slots[i] = Some(res);
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            m.partitions_failed
-                .add(slots.iter().filter(|s| !matches!(s, Some(Ok(_)))).count() as u64);
-        }
-        let mut out = Vec::with_capacity(slots.len());
-        for (partition, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(t)) => out.push(t),
-                Some(Err(message)) => {
-                    return Err(EngineError::PartitionPanicked {
-                        partition,
-                        attempts: MAX_PARTITION_ATTEMPTS,
-                        message,
-                    })
-                }
-                None => {
-                    return Err(EngineError::PartitionPanicked {
-                        partition,
-                        attempts: MAX_PARTITION_ATTEMPTS,
-                        message: "worker thread lost before reporting".to_string(),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.run_units(worklist.len().div_ceil(chunk), init, |state, i| {
+            f(
+                state,
+                &worklist[i * chunk..((i + 1) * chunk).min(worklist.len())],
+            )
+        })
     }
 
     /// Fault-isolated per-task scheduling for *coarse* work units: runs
-    /// `f(i)` once per task `i in 0..n`, returning results in task order.
+    /// `f(i)` once per task `i in 0..n`, returning results in task order,
+    /// under the [fault contract](Self#fault-contract).
     ///
     /// [`try_run_worklist`](Self::try_run_worklist) amortizes cursor
     /// traffic by claiming vertices in chunks of ≥ 64, which serializes a
     /// round of a few dozen heavy tasks (e.g. graph shards) behind one
-    /// worker. Here each task is its own schedulable unit: workers claim
-    /// indices one at a time through an atomic cursor, so a round of `n`
-    /// expensive closures keeps `min(workers, n)` threads busy until the
-    /// list drains. Single-worker pools (and `n <= 1`) run inline on the
-    /// calling thread.
-    ///
-    /// The PR 1 fault contract carries over: a panicking task does not
-    /// abort the round; it is retried on a fresh thread, then once more
-    /// sequentially inline ([`MAX_PARTITION_ATTEMPTS`] total attempts), and
-    /// only then does the round fail with
-    /// [`EngineError::PartitionPanicked`] naming the task. Tasks double as
-    /// partitions for the `pool.*` metric family.
+    /// worker. Here each task is its own unit, so a round of `n` expensive
+    /// closures keeps `min(workers, n)` threads busy until the list drains.
     pub fn try_run_tasks<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, EngineError>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let metrics = self.metrics.as_ref();
-        let f = &f;
-        // One timed, panic-contained task execution (initial or retry).
-        let run_one = |i: usize| -> Result<T, String> {
-            match metrics {
-                Some(m) => {
-                    let clock = m.registry.clock();
-                    let started = clock.now();
-                    let res = call_caught(|| f(i));
-                    m.partition_nanos
-                        .observe_duration(clock.now().saturating_sub(started));
-                    res
-                }
-                None => call_caught(|| f(i)),
-            }
-        };
-        let run_one = &run_one;
-        let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-        if self.workers == 1 || n == 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_one(i));
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let threads = self.workers.min(n);
-            let per_worker: Vec<Vec<(usize, Result<T, String>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        s.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                done.push((i, run_one(i)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles.into_iter().filter_map(|h| h.join().ok()).collect()
-            });
-            for (i, res) in per_worker.into_iter().flatten() {
-                slots[i] = Some(res);
-            }
-            // Tasks claimed by a worker whose thread died outright surface
-            // as unfilled slots; fold them into the retry path.
-            for slot in slots.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(Err("worker thread lost before reporting".to_string()));
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            m.partitions_started.add(n as u64);
-            m.panics_caught
-                .add(slots.iter().filter(|s| matches!(s, Some(Err(_)))).count() as u64);
-        }
-        for attempt in 1..MAX_PARTITION_ATTEMPTS {
-            let failed: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| matches!(s, Some(Err(_)) | None).then_some(i))
-                .collect();
-            if failed.is_empty() {
-                break;
-            }
-            if let Some(m) = metrics {
-                m.retries.add(failed.len() as u64);
-            }
-            if attempt + 1 == MAX_PARTITION_ATTEMPTS {
-                // Final attempt: sequentially on the calling thread, so a
-                // fault tied to worker-thread state cannot recur.
-                if let Some(m) = metrics {
-                    m.fallback_sequential.add(failed.len() as u64);
-                }
-                for i in failed {
-                    slots[i] = Some(run_one(i));
-                }
-            } else {
-                let retried: Vec<(usize, Result<T, String>)> = std::thread::scope(|s| {
-                    let handles: Vec<_> = failed
-                        .into_iter()
-                        .map(|i| (i, s.spawn(move || run_one(i))))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(i, h)| {
-                            (
-                                i,
-                                h.join().unwrap_or_else(|p| Err(panic_message(p.as_ref()))),
-                            )
-                        })
-                        .collect()
-                });
-                for (i, res) in retried {
-                    slots[i] = Some(res);
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            m.partitions_failed
-                .add(slots.iter().filter(|s| !matches!(s, Some(Ok(_)))).count() as u64);
-        }
-        let mut out = Vec::with_capacity(slots.len());
-        for (partition, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(t)) => out.push(t),
-                Some(Err(message)) => {
-                    return Err(EngineError::PartitionPanicked {
-                        partition,
-                        attempts: MAX_PARTITION_ATTEMPTS,
-                        message,
-                    })
-                }
-                None => {
-                    return Err(EngineError::PartitionPanicked {
-                        partition,
-                        attempts: MAX_PARTITION_ATTEMPTS,
-                        message: "worker thread lost before reporting".to_string(),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.run_units(n, || (), |_, i| f(i))
     }
 
     /// Computes `f(i)` for every `i in 0..n` into a vector (one superstep).

@@ -79,57 +79,82 @@ pub struct LossyRead {
     pub errors: Vec<LineError>,
 }
 
-fn parse_record(trimmed: &str, idx: usize) -> Result<(u32, u32, u32), IoError> {
-    let mut parts = trimmed.split('\t');
-    let mut parse = |what: &str| -> Result<u32, IoError> {
-        parts
-            .next()
-            .ok_or_else(|| IoError::Parse {
-                line: idx + 1,
-                message: format!("missing {what}"),
-            })?
-            .trim()
-            .parse::<u32>()
-            .map_err(|e| IoError::Parse {
-                line: idx + 1,
-                message: format!("bad {what}: {e}"),
-            })
-    };
-    let u = parse("user id")?;
-    let v = parse("item id")?;
-    let c = parse("click count")?;
-    Ok((u, v, c))
+impl From<LineError> for IoError {
+    fn from(e: LineError) -> Self {
+        IoError::Parse {
+            line: e.line,
+            message: e.message,
+        }
+    }
 }
 
-/// Parses a TSV click table. Blank lines and lines starting with `#` are
-/// skipped; duplicate pairs are merged by summation (builder semantics).
-pub fn read_tsv<R: BufRead>(mut r: R) -> Result<BipartiteGraph, IoError> {
-    let mut b = GraphBuilder::new();
-    // One buffer for every line: `lines()` would allocate a `String` per
-    // record.
-    let mut line = String::new();
-    for idx in 0.. {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
+/// One TSV record: `(user, item, clicks)`.
+pub type Record = (u32, u32, u32);
+
+fn parse_record(trimmed: &str, line: usize) -> Result<Record, LineError> {
+    let mut parts = trimmed.split('\t');
+    let mut field = |what: &str| -> Result<u32, LineError> {
+        let err = |message| LineError { line, message };
+        parts
+            .next()
+            .ok_or_else(|| err(format!("missing {what}")))?
+            .trim()
+            .parse()
+            .map_err(|e| err(format!("bad {what}: {e}")))
+    };
+    Ok((field("user id")?, field("item id")?, field("click count")?))
+}
+
+/// The one record loop over the TSV dialect every click-table reader (here
+/// and in `ricd_table::io`) speaks: tab-separated `u32 u32 u32`, blank lines
+/// and lines starting with `#` skipped, lines numbered from 1.
+///
+/// `each` sees every other line as its parsed record or — malformed, or not
+/// valid UTF-8 — as a [`LineError`]; what it returns as `Err` stops the read
+/// (strict readers pass the first `LineError` straight back, lossy readers
+/// collect them and go on). Underlying I/O failures always abort — a
+/// quarantine list cannot represent "the disk went away". One byte buffer
+/// serves every line; nothing is allocated per record.
+pub fn read_records<R: BufRead>(
+    mut r: R,
+    mut each: impl FnMut(Result<Record, LineError>) -> Result<(), LineError>,
+) -> Result<(), IoError> {
+    let mut raw = Vec::new();
+    for line in 1.. {
+        raw.clear();
+        if r.read_until(b'\n', &mut raw)? == 0 {
             break;
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (u, v, c) = parse_record(trimmed, idx)?;
-        b.add_click(UserId(u), ItemId(v), c);
+        each(match std::str::from_utf8(&raw).map(str::trim) {
+            Ok(text) if text.is_empty() || text.starts_with('#') => continue,
+            Ok(text) => parse_record(text, line),
+            Err(_) => Err(LineError {
+                line,
+                message: "not valid UTF-8".to_string(),
+            }),
+        })?;
     }
+    Ok(())
+}
+
+/// Parses a TSV click table ([`read_records`]' dialect), stopping at the
+/// first malformed line; duplicate pairs are merged by summation (builder
+/// semantics).
+pub fn read_tsv<R: BufRead>(r: R) -> Result<BipartiteGraph, IoError> {
+    let mut b = GraphBuilder::new();
+    read_records(r, |record| {
+        let (u, v, c) = record?;
+        b.add_click(UserId(u), ItemId(v), c);
+        Ok(())
+    })?;
     Ok(b.build())
 }
 
 /// Lossy [`read_tsv`]: malformed lines — including lines that are not
 /// valid UTF-8 — are quarantined into a per-line error report instead of
 /// aborting the read, and the graph is built from the clean subset.
-/// Underlying I/O failures still abort — a quarantine list cannot
-/// represent "the disk went away".
 pub fn read_tsv_lossy<R: BufRead>(r: R) -> Result<LossyRead, IoError> {
-    read_tsv_lossy_inner(r, None)
+    Ok(read_lossy(r)?.0)
 }
 
 /// [`read_tsv_lossy`] that additionally records `io.records_ingested` and
@@ -139,55 +164,27 @@ pub fn read_tsv_lossy_metered<R: BufRead>(
     r: R,
     metrics: &ricd_obs::MetricsRegistry,
 ) -> Result<LossyRead, IoError> {
-    read_tsv_lossy_inner(r, Some(metrics))
+    let (read, ingested) = read_lossy(r)?;
+    metrics.inc_by("io.records_ingested", ingested);
+    metrics.inc_by("io.lines_quarantined", read.errors.len() as u64);
+    Ok(read)
 }
 
-fn read_tsv_lossy_inner<R: BufRead>(
-    mut r: R,
-    metrics: Option<&ricd_obs::MetricsRegistry>,
-) -> Result<LossyRead, IoError> {
-    let mut b = GraphBuilder::new();
-    let mut errors = Vec::new();
-    let mut raw = Vec::new();
-    let mut idx = 0usize;
-    let mut ingested = 0u64;
-    loop {
-        raw.clear();
-        if r.read_until(b'\n', &mut raw)? == 0 {
-            break;
-        }
-        let parsed = match std::str::from_utf8(&raw) {
-            Ok(line) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    idx += 1;
-                    continue;
-                }
-                parse_record(trimmed, idx)
-            }
-            Err(_) => Err(IoError::Parse {
-                line: idx + 1,
-                message: "not valid UTF-8".to_string(),
-            }),
-        };
-        match parsed {
+/// The lossy read plus the number of records ingested (before merging).
+fn read_lossy<R: BufRead>(r: R) -> Result<(LossyRead, u64), IoError> {
+    let (mut b, mut errors, mut ingested) = (GraphBuilder::new(), Vec::new(), 0);
+    read_records(r, |record| {
+        match record {
             Ok((u, v, c)) => {
                 b.add_click(UserId(u), ItemId(v), c);
                 ingested += 1;
             }
-            Err(IoError::Parse { line, message }) => errors.push(LineError { line, message }),
-            Err(other) => return Err(other),
+            Err(e) => errors.push(e),
         }
-        idx += 1;
-    }
-    if let Some(m) = metrics {
-        m.inc_by("io.records_ingested", ingested);
-        m.inc_by("io.lines_quarantined", errors.len() as u64);
-    }
-    Ok(LossyRead {
-        graph: b.build(),
-        errors,
-    })
+        Ok(())
+    })?;
+    let graph = b.build();
+    Ok((LossyRead { graph, errors }, ingested))
 }
 
 const MAGIC: &[u8; 8] = b"RICDCLK1";
@@ -343,6 +340,38 @@ mod tests {
         assert_eq!(r.graph.num_edges(), 2);
         let lines: Vec<usize> = r.errors.iter().map(|e| e.line).collect();
         assert_eq!(lines, vec![5]);
+    }
+
+    #[test]
+    fn non_utf8_line_is_a_numbered_line_error_in_every_mode() {
+        let bytes = b"0\t0\t2\n# note\n\xff\xfe\t1\t1\n1\t1\t3\n";
+        match read_tsv(&bytes[..]) {
+            Err(IoError::Parse { line, message }) => {
+                assert_eq!(line, 3);
+                assert_eq!(message, "not valid UTF-8");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let r = read_tsv_lossy(&bytes[..]).unwrap();
+        assert_eq!(r.graph.num_edges(), 2);
+        assert_eq!(r.errors.len(), 1);
+        assert_eq!(r.errors[0].to_string(), "line 3: not valid UTF-8");
+    }
+
+    #[test]
+    fn record_loop_stops_where_the_caller_says() {
+        let text = "0\t0\t1\nbad\n1\t1\t1\nworse\n";
+        let mut seen = Vec::new();
+        let stopped = read_records(text.as_bytes(), |record| {
+            seen.push(record.clone().map_err(|e| e.line));
+            // Tolerate the first malformed line, stop at the second.
+            match record {
+                Err(e) if e.line > 2 => Err(e),
+                _ => Ok(()),
+            }
+        });
+        assert!(matches!(stopped, Err(IoError::Parse { line: 4, .. })));
+        assert_eq!(seen, [Ok((0, 0, 1)), Err(2), Ok((1, 1, 1)), Err(4)]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Table I/O: TSV (human-auditable) and JSON (experiment artifacts).
 
 use crate::click_table::ClickTable;
+use ricd_graph::io::read_records;
 use std::io::{self, BufRead, Write};
 
 /// Writes the table as `user \t item \t click` lines.
@@ -21,33 +22,16 @@ pub struct LossyRead {
     pub errors: Vec<(usize, String)>,
 }
 
-fn parse_record(trimmed: &str, idx: usize) -> Result<(u32, u32, u32), String> {
-    let mut parts = trimmed.split('\t').map(str::trim);
-    let mut next = |what: &str| -> Result<u32, String> {
-        parts
-            .next()
-            .ok_or_else(|| format!("line {}: missing {what}", idx + 1))?
-            .parse()
-            .map_err(|e| format!("line {}: bad {what}: {e}", idx + 1))
-    };
-    let u = next("user id")?;
-    let v = next("item id")?;
-    let c = next("click count")?;
-    Ok((u, v, c))
-}
-
-/// Reads a TSV click table (same dialect as `ricd_graph::io::read_tsv`:
-/// blank lines and `#` comments skipped, duplicates merged).
+/// Reads a TSV click table through `ricd_graph::io::read_records` (so the
+/// same dialect as `ricd_graph::io::read_tsv`: blank lines and `#` comments
+/// skipped), stopping at the first malformed line; duplicates are merged.
 pub fn read_tsv<R: BufRead>(r: R) -> Result<ClickTable, String> {
     let mut rows = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        rows.push(parse_record(trimmed, idx)?);
-    }
+    read_records(r, |record| {
+        rows.push(record?);
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
     Ok(ClickTable::from_rows(rows))
 }
 
@@ -55,7 +39,7 @@ pub fn read_tsv<R: BufRead>(r: R) -> Result<ClickTable, String> {
 /// valid UTF-8 — are quarantined into the error report instead of
 /// aborting; underlying I/O failures still abort.
 pub fn read_tsv_lossy<R: BufRead>(r: R) -> Result<LossyRead, String> {
-    read_tsv_lossy_inner(r, None)
+    Ok(read_lossy(r)?.0)
 }
 
 /// [`read_tsv_lossy`] that additionally records `table.records_ingested`
@@ -64,47 +48,26 @@ pub fn read_tsv_lossy_metered<R: BufRead>(
     r: R,
     metrics: &ricd_obs::MetricsRegistry,
 ) -> Result<LossyRead, String> {
-    read_tsv_lossy_inner(r, Some(metrics))
+    let (read, ingested) = read_lossy(r)?;
+    metrics.inc_by("table.records_ingested", ingested);
+    metrics.inc_by("table.lines_quarantined", read.errors.len() as u64);
+    Ok(read)
 }
 
-fn read_tsv_lossy_inner<R: BufRead>(
-    mut r: R,
-    metrics: Option<&ricd_obs::MetricsRegistry>,
-) -> Result<LossyRead, String> {
-    let mut rows = Vec::new();
-    let mut errors = Vec::new();
-    let mut raw = Vec::new();
-    let mut idx = 0usize;
-    loop {
-        raw.clear();
-        if r.read_until(b'\n', &mut raw)
-            .map_err(|e| format!("line {}: {e}", idx + 1))?
-            == 0
-        {
-            break;
+/// The lossy read plus the number of records ingested (before merging).
+fn read_lossy<R: BufRead>(r: R) -> Result<(LossyRead, u64), String> {
+    let (mut rows, mut errors) = (Vec::new(), Vec::new());
+    read_records(r, |record| {
+        match record {
+            Ok(row) => rows.push(row),
+            Err(e) => errors.push((e.line, e.to_string())),
         }
-        match std::str::from_utf8(&raw) {
-            Ok(line) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    match parse_record(trimmed, idx) {
-                        Ok(rec) => rows.push(rec),
-                        Err(message) => errors.push((idx + 1, message)),
-                    }
-                }
-            }
-            Err(_) => errors.push((idx + 1, format!("line {}: not valid UTF-8", idx + 1))),
-        }
-        idx += 1;
-    }
-    if let Some(m) = metrics {
-        m.inc_by("table.records_ingested", rows.len() as u64);
-        m.inc_by("table.lines_quarantined", errors.len() as u64);
-    }
-    Ok(LossyRead {
-        table: ClickTable::from_rows(rows),
-        errors,
+        Ok(())
     })
+    .map_err(|e| e.to_string())?;
+    let ingested = rows.len() as u64;
+    let table = ClickTable::from_rows(rows);
+    Ok((LossyRead { table, errors }, ingested))
 }
 
 /// Serializes the table to a JSON string (columnar layout).

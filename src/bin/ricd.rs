@@ -40,6 +40,12 @@ impl From<String> for CliError {
     }
 }
 
+impl From<fake_click_detection::serve::WireError> for CliError {
+    fn from(e: fake_click_detection::serve::WireError) -> Self {
+        CliError::Runtime(e.to_string())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -108,9 +114,9 @@ USAGE:
                   [--resume-manifest <manifest.json|DIR>]
                   [--k1 <N>] [--k2 <N>] [--alpha <F>]
                   [--t-hot <N>] [--t-click <N>]
-                  [--metrics-out <m.json>] [--metrics-count-only]
+                  [--metrics-out <m.json>] [--metrics-count-only] [--trace]
     ricd client   <op> --addr <HOST:PORT> ...
-        ingest     --input <clicks.tsv> [--batch <N>] [--start-seq <N>]
+        ingest     --input <clicks.tsv> [--lossy] [--batch <N>] [--start-seq <N>]
         query      [--user <id>]... [--item <id>]...
         recommend  --user <id> [--n <N>]
         metrics    [--count-only] [--filter <PREFIX>] [--output <m.json>]
@@ -199,55 +205,191 @@ ADVERSARIAL LAB:
 EXIT CODES:
     0  success (including degraded runs, which warn on stderr)
     1  runtime failure (I/O, malformed data, rejected wire frames)
-    2  usage error
+    2  usage error, including any flag the subcommand does not take
 ";
 
-/// Minimal `--key value` parser; flags may repeat.
-struct Flags<'a>(&'a [String]);
+/// The flags one subcommand (or `client` op) takes. Anything else on its
+/// command line is a usage error, not something to skip over.
+struct FlagTable {
+    /// `--flag <value>`, at most once.
+    value: &'static [&'static str],
+    /// `--flag`, taking nothing.
+    bare: &'static [&'static str],
+    /// `--flag <value>`, any number of times.
+    repeatable: &'static [&'static str],
+}
+
+/// One table per subcommand (and per `client` op): what it takes.
+#[rustfmt::skip]
+mod tables {
+    use super::FlagTable;
+
+    const NONE: FlagTable = FlagTable { value: &[], bare: &[], repeatable: &[] };
+
+    pub const GENERATE: FlagTable = FlagTable {
+        value: &["--output", "--truth", "--scale", "--groups", "--seed"],
+        ..NONE
+    };
+    pub const STATS: FlagTable = FlagTable { value: &["--input"], bare: &["--lossy"], ..NONE };
+    pub const DETECT: FlagTable = FlagTable {
+        value: &["--input", "--output", "--k1", "--k2", "--alpha", "--t-hot", "--t-click",
+                 "--shards", "--shard-max-users", "--deadline-ms", "--max-groups", "--metrics-out"],
+        bare: &["--lossy", "--metrics-count-only", "--trace"],
+        repeatable: &["--seed-user", "--seed-item"],
+    };
+    pub const EVAL: FlagTable = FlagTable {
+        value: &["--input", "--truth", "--method", "--metrics-out"],
+        bare: &["--lossy", "--metrics-count-only", "--trace"],
+        ..NONE
+    };
+    pub const EVAL_ADVERSARIAL: FlagTable = FlagTable {
+        value: &["--budgets", "--rounds", "--params", "--scale", "--seed", "--target-flagged",
+                 "--workers", "--out"],
+        bare: &["--adversarial"],
+        ..NONE
+    };
+    pub const CAMPAIGN: FlagTable = FlagTable { value: &["--days"], ..NONE };
+    pub const STREAM: FlagTable = FlagTable {
+        value: &["--scenario", "--seed", "--window", "--decay", "--detect-every",
+                 "--flag-fraction", "--out", "--params", "--k1", "--k2", "--alpha", "--t-hot",
+                 "--t-click", "--metrics-out"],
+        bare: &["--metrics-count-only", "--trace"],
+        ..NONE
+    };
+    pub const SERVE: FlagTable = FlagTable {
+        value: &["--port", "--resume", "--queue", "--swap-every", "--max-connections",
+                 "--workers", "--checkpoint-out", "--io-timeout-ms", "--shards",
+                 "--buffer-per-shard", "--checkpoint-dir", "--checkpoint-every",
+                 "--resume-manifest", "--k1", "--k2", "--alpha", "--t-hot", "--t-click",
+                 "--metrics-out"],
+        bare: &["--oneshot", "--metrics-count-only", "--trace"],
+        ..NONE
+    };
+    pub const CLIENT_OPS: &[(&str, FlagTable)] = &[
+        ("ingest", FlagTable {
+            value: &["--addr", "--input", "--batch", "--start-seq"],
+            bare: &["--lossy"],
+            ..NONE
+        }),
+        ("query", FlagTable { value: &["--addr"], repeatable: &["--user", "--item"], ..NONE }),
+        ("recommend", FlagTable { value: &["--addr", "--user", "--n"], ..NONE }),
+        ("metrics", FlagTable {
+            value: &["--addr", "--filter", "--output"],
+            bare: &["--count-only"],
+            ..NONE
+        }),
+        ("checkpoint", FlagTable { value: &["--addr", "--output"], ..NONE }),
+        ("check", FlagTable { value: &["--addr", "--truth", "--min-recall"], ..NONE }),
+        ("status", FlagTable { value: &["--addr"], ..NONE }),
+        ("shutdown", FlagTable { value: &["--addr"], ..NONE }),
+    ];
+}
+
+/// A command line checked against its command's [`FlagTable`]: the
+/// `(flag, value)` pairs in order, a bare flag carrying an empty value.
+struct Flags<'a> {
+    table: &'a FlagTable,
+    given: Vec<(&'a str, &'a str)>,
+}
 
 impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.0
-            .windows(2)
-            .find(|w| w[0] == key)
-            .map(|w| w[1].as_str())
+    /// Rejects, as usage errors naming the flag: a flag `cmd` does not
+    /// take (a typo must not run the command with the default instead), a
+    /// value flag whose value is missing or is itself a `--flag`, and a
+    /// non-repeatable flag given twice.
+    fn new(cmd: &str, args: &'a [String], table: &'a FlagTable) -> Result<Self, CliError> {
+        let mut given: Vec<(&str, &str)> = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(flag) = args.next() {
+            let repeatable = table.repeatable.contains(&flag);
+            let value = if table.bare.contains(&flag) {
+                ""
+            } else if repeatable || table.value.contains(&flag) {
+                args.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?
+            } else {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `{flag}` for `ricd {cmd}`"
+                )));
+            };
+            if !repeatable && given.iter().any(|&(f, _)| f == flag) {
+                return Err(CliError::Usage(format!("{flag} given more than once")));
+            }
+            given.push((flag, value));
+        }
+        Ok(Flags { table, given })
     }
 
-    fn get_all(&self, key: &str) -> Vec<&'a str> {
-        self.0
-            .windows(2)
-            .filter(|w| w[0] == key)
-            .map(|w| w[1].as_str())
-            .collect()
+    fn get_all(&self, key: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        // A flag read here but missing from the table could never be given.
+        let t = self.table;
+        debug_assert!([t.value, t.bare, t.repeatable].concat().contains(&key));
+        self.given
+            .iter()
+            .filter(move |(f, _)| *f == key)
+            .map(|&(_, v)| v)
+    }
+
+    fn get(&self, key: &'a str) -> Option<&'a str> {
+        self.get_all(key).next()
     }
 
     /// True if the bare (value-less) flag `key` is present.
-    fn has(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+    fn has(&self, key: &'a str) -> bool {
+        self.get(key).is_some()
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError>
+    fn parse_all<T: std::str::FromStr>(&self, key: &'a str) -> Result<Vec<T>, CliError>
     where
         T::Err: std::fmt::Display,
     {
-        // A value flag dangling at the end of the line must not be
-        // silently ignored: `detect --input x --deadline-ms` would
-        // otherwise run unbudgeted.
-        if self.0.last().map(String::as_str) == Some(key) {
-            return Err(CliError::Usage(format!("{key} requires a value")));
-        }
-        self.get(key)
+        self.get_all(key)
             .map(|v| {
                 v.parse()
                     .map_err(|e| CliError::Usage(format!("bad {key}: {e}")))
             })
-            .transpose()
+            .collect()
     }
 
-    fn require(&self, key: &str) -> Result<&'a str, CliError> {
+    fn parse<T: std::str::FromStr>(&self, key: &'a str) -> Result<Option<T>, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        Ok(self.parse_all(key)?.pop())
+    }
+
+    /// Overwrites `slot` with the flag's parsed value, if the flag is given.
+    fn set<T: std::str::FromStr>(&self, key: &'a str, slot: &mut T) -> Result<(), CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        if let Some(v) = self.parse(key)? {
+            *slot = v;
+        }
+        Ok(())
+    }
+
+    fn require(&self, key: &'a str) -> Result<&'a str, CliError> {
         self.get(key)
             .ok_or_else(|| CliError::Usage(format!("missing {key}")))
     }
+}
+
+/// Writes `value` to `path`, if one was given, as pretty JSON with a
+/// trailing newline.
+fn write_json<T: serde::Serialize>(path: Option<&str>, value: &T) -> Result<(), CliError> {
+    let Some(path) = path else { return Ok(()) };
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Reads the JSON file at `path`.
+fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, CliError> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    Ok(serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
 /// Loads a click table; with `lossy`, malformed lines are quarantined and
@@ -294,45 +436,28 @@ fn ricd_params(flags: &Flags) -> Result<RicdParams, CliError> {
 /// overridden per knob.
 fn ricd_params_over(base: RicdParams, flags: &Flags) -> Result<RicdParams, CliError> {
     let mut p = base;
-    if let Some(v) = flags.parse("--k1")? {
-        p.k1 = v;
-    }
-    if let Some(v) = flags.parse("--k2")? {
-        p.k2 = v;
-    }
-    if let Some(v) = flags.parse("--alpha")? {
-        p.alpha = v;
-    }
-    if let Some(v) = flags.parse("--t-hot")? {
-        p.t_hot = v;
-    }
-    if let Some(v) = flags.parse("--t-click")? {
-        p.t_click = v;
-    }
+    flags.set("--k1", &mut p.k1)?;
+    flags.set("--k2", &mut p.k2)?;
+    flags.set("--alpha", &mut p.alpha)?;
+    flags.set("--t-hot", &mut p.t_hot)?;
+    flags.set("--t-click", &mut p.t_click)?;
     p.validate().map_err(CliError::Usage)?;
     Ok(p)
 }
 
-/// The observability flags shared by `detect` and `eval`: a fresh registry
-/// (streaming spans to stderr under `--trace`) plus the snapshot destination
-/// and whether to strip durations from it.
-fn metrics_flags<'a>(
-    flags: &Flags<'a>,
-) -> Result<(MetricsRegistry, Option<&'a str>, bool), CliError> {
-    // Same dangling-value guard as `Flags::parse`: a bare `--metrics-out`
-    // at the end of the line must not silently discard the snapshot.
-    if flags.0.last().map(String::as_str) == Some("--metrics-out") {
-        return Err(CliError::Usage("--metrics-out requires a value".into()));
-    }
+/// The observability flags shared by `detect`, `eval`, `stream` and
+/// `serve`: a fresh registry (streaming spans to stderr under `--trace`)
+/// plus the snapshot destination and whether to strip durations from it.
+fn metrics_flags<'a>(flags: &Flags<'a>) -> (MetricsRegistry, Option<&'a str>, bool) {
     let registry = MetricsRegistry::new();
     if flags.has("--trace") {
         registry.set_recorder(Arc::new(StderrTraceRecorder));
     }
-    Ok((
+    (
         registry,
         flags.get("--metrics-out"),
         flags.has("--metrics-count-only"),
-    ))
+    )
 }
 
 /// Writes `registry`'s snapshot as pretty JSON to `path`, if one was given.
@@ -344,12 +469,7 @@ fn write_snapshot(
     let Some(path) = path else { return Ok(()) };
     let snap = registry.snapshot();
     let snap = if count_only { snap.count_only() } else { snap };
-    let json = serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?;
-    let mut f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    f.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-    f.write_all(b"\n").map_err(|e| e.to_string())?;
-    eprintln!("wrote {path}");
-    Ok(())
+    write_json(Some(path), &snap)
 }
 
 /// Assembles the run budget from `--deadline-ms` / `--max-groups`.
@@ -365,7 +485,7 @@ fn run_budget(flags: &Flags) -> Result<RunBudget, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
+    let flags = Flags::new("generate", args, &tables::GENERATE)?;
     let output = flags.require("--output")?;
     // The 100× preset pairs its own attack mix: ten times the planted
     // groups so the fake-to-organic ratio matches the smaller scales.
@@ -377,12 +497,8 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         Some("1000x") => (DatasetConfig::scale1000(), AttackConfig::scale1000()),
         Some(other) => return Err(CliError::Usage(format!("unknown scale `{other}`"))),
     };
-    if let Some(seed) = flags.parse("--seed")? {
-        dataset_cfg.seed = seed;
-    }
-    if let Some(groups) = flags.parse("--groups")? {
-        attack.num_groups = groups;
-    }
+    flags.set("--seed", &mut dataset_cfg.seed)?;
+    flags.set("--groups", &mut attack.num_groups)?;
     let ds = generate(&dataset_cfg, &attack)?;
 
     let file = File::create(output).map_err(|e| format!("{output}: {e}"))?;
@@ -397,17 +513,11 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         ds.truth.groups.len()
     );
 
-    if let Some(truth_path) = flags.get("--truth") {
-        let json = serde_json::to_string_pretty(&ds.truth).map_err(|e| e.to_string())?;
-        let mut f = File::create(truth_path).map_err(|e| format!("{truth_path}: {e}"))?;
-        f.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-        eprintln!("wrote {truth_path}");
-    }
-    Ok(())
+    write_json(flags.get("--truth"), &ds.truth)
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
+    let flags = Flags::new("stats", args, &tables::STATS)?;
     let g = load_graph(flags.require("--input")?, flags.has("--lossy"), None)?;
     let r = figures::dataset_report(&g);
     println!("users         {}", r.scale.users);
@@ -434,34 +544,26 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_detect(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
+    let flags = Flags::new("detect", args, &tables::DETECT)?;
     // Validate every flag before touching the filesystem: a usage error
     // (exit 2) must win over an I/O error (exit 1) so a typo'd invocation
     // never half-runs against a large input.
     let input = flags.require("--input")?;
     let params = ricd_params(&flags)?;
     let budget = run_budget(&flags)?;
-    let (registry, metrics_out, count_only) = metrics_flags(&flags)?;
+    let (registry, metrics_out, count_only) = metrics_flags(&flags);
 
     let seeds = Seeds {
         users: flags
-            .get_all("--seed-user")
+            .parse_all("--seed-user")?
             .into_iter()
-            .map(|s| {
-                s.parse()
-                    .map(UserId)
-                    .map_err(|e| CliError::Usage(format!("bad --seed-user: {e}")))
-            })
-            .collect::<Result<_, _>>()?,
+            .map(UserId)
+            .collect(),
         items: flags
-            .get_all("--seed-item")
+            .parse_all("--seed-item")?
             .into_iter()
-            .map(|s| {
-                s.parse()
-                    .map(ItemId)
-                    .map_err(|e| CliError::Usage(format!("bad --seed-item: {e}")))
-            })
-            .collect::<Result<_, _>>()?,
+            .map(ItemId)
+            .collect(),
     };
 
     let shard_cfg = {
@@ -513,32 +615,24 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
             grp.ridden_hot_items
         );
     }
-    if let Some(path) = flags.get("--output") {
-        let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
-        let mut f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        f.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-        eprintln!("wrote {path}");
-    }
+    write_json(flags.get("--output"), &result)?;
     write_snapshot(&registry, metrics_out, count_only)
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
-    if flags.has("--adversarial") {
+    if args.iter().any(|a| a == "--adversarial") {
+        let flags = Flags::new("eval --adversarial", args, &tables::EVAL_ADVERSARIAL)?;
         return cmd_eval_adversarial(&flags);
     }
-    let (registry, metrics_out, count_only) = metrics_flags(&flags)?;
+    let flags = Flags::new("eval", args, &tables::EVAL)?;
+    let (registry, metrics_out, count_only) = metrics_flags(&flags);
     let trace = flags.has("--trace");
     let g = load_graph(
         flags.require("--input")?,
         flags.has("--lossy"),
         Some(&registry),
     )?;
-    let truth_path = flags.require("--truth")?;
-    let truth: fake_click_detection::datagen::GroundTruth = {
-        let text = std::fs::read_to_string(truth_path).map_err(|e| format!("{truth_path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{truth_path}: {e}"))?
-    };
+    let truth: fake_click_detection::datagen::GroundTruth = read_json(flags.require("--truth")?)?;
 
     let methods: Vec<Method> = match flags.get("--method") {
         None => Method::fig8_lineup().to_vec(),
@@ -586,9 +680,6 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
 /// detector-aware strategy × budget cell over a planted world, with the
 /// Module-3 feedback loop re-tuning thresholds between rounds.
 fn cmd_eval_adversarial(flags: &Flags) -> Result<(), CliError> {
-    if flags.0.last().map(String::as_str) == Some("--out") {
-        return Err(CliError::Usage("--out requires a value".into()));
-    }
     let mut cfg = AdversarialConfig::tiny(flags.parse::<u64>("--seed")?.unwrap_or(0x5eed_0010));
     match flags.get("--scale") {
         None | Some("tiny") => {}
@@ -609,18 +700,12 @@ fn cmd_eval_adversarial(flags: &Flags) -> Result<(), CliError> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(r) = flags.parse("--rounds")? {
-        cfg.feedback_rounds = r;
-    }
+    flags.set("--rounds", &mut cfg.feedback_rounds)?;
     if let Some(mode) = flags.get("--params") {
         cfg.params_mode = ParamsMode::parse(mode).map_err(CliError::Usage)?;
     }
-    if let Some(t) = flags.parse("--target-flagged")? {
-        cfg.tuner.target_flagged = t;
-    }
-    if let Some(w) = flags.parse("--workers")? {
-        cfg.workers = Some(w);
-    }
+    flags.set("--target-flagged", &mut cfg.tuner.target_flagged)?;
+    cfg.workers = flags.parse("--workers")?.or(cfg.workers);
     let report = run_adversarial(&cfg).map_err(CliError::Runtime)?;
 
     println!(
@@ -648,30 +733,17 @@ fn cmd_eval_adversarial(flags: &Flags) -> Result<(), CliError> {
             if c.converged { "yes" } else { "no" }
         );
     }
-    if let Some(path) = flags.get("--out") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        let mut f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        f.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-        f.write_all(b"\n").map_err(|e| e.to_string())?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
+    write_json(flags.get("--out"), &report)
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
+    let flags = Flags::new("serve", args, &tables::SERVE)?;
     let params = ricd_params(&flags)?;
-    let (registry, metrics_out, count_only) = metrics_flags(&flags)?;
+    let (registry, metrics_out, count_only) = metrics_flags(&flags);
     let mut cfg = ServeConfig::default();
-    if let Some(n) = flags.parse("--queue")? {
-        cfg.queue_capacity = n;
-    }
-    if let Some(n) = flags.parse("--swap-every")? {
-        cfg.swap_every_batches = n;
-    }
-    if let Some(n) = flags.parse("--max-connections")? {
-        cfg.max_connections = n;
-    }
+    flags.set("--queue", &mut cfg.queue_capacity)?;
+    flags.set("--swap-every", &mut cfg.swap_every_batches)?;
+    flags.set("--max-connections", &mut cfg.max_connections)?;
     cfg.oneshot = flags.has("--oneshot");
     if let Some(ms) = flags.parse("--io-timeout-ms")? {
         cfg.io_timeout = std::time::Duration::from_millis(ms);
@@ -688,15 +760,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             serve: cfg,
             ..RouterConfig::default()
         };
-        if let Some(n) = flags.parse("--workers")? {
-            rcfg.workers_per_shard = n;
-        }
-        if let Some(n) = flags.parse("--buffer-per-shard")? {
-            rcfg.buffer_per_shard = n;
-        }
-        if let Some(n) = flags.parse("--checkpoint-every")? {
-            rcfg.checkpoint_every_batches = n;
-        }
+        flags.set("--workers", &mut rcfg.workers_per_shard)?;
+        flags.set("--buffer-per-shard", &mut rcfg.buffer_per_shard)?;
+        flags.set("--checkpoint-every", &mut rcfg.checkpoint_every_batches)?;
         if let Some(dir) = flags.get("--checkpoint-dir") {
             rcfg.checkpoint_dir = Some(std::path::PathBuf::from(dir));
         }
@@ -730,9 +796,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 
     let state = match flags.get("--resume") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let ckpt: fake_click_detection::core::prelude::Checkpoint =
-                serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+            let ckpt: fake_click_detection::core::prelude::Checkpoint = read_json(path)?;
             eprintln!("resuming from {path} (next_seq {})", ckpt.next_seq);
             ServeState::restore(cfg, pipeline, ckpt)
         }
@@ -753,9 +817,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         state.next_seq()
     );
     if let Some(path) = flags.get("--checkpoint-out") {
-        let json = serde_json::to_string_pretty(&state.checkpoint()).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
+        write_json(Some(path), &state.checkpoint())?;
     }
     write_snapshot(&registry, metrics_out, count_only)
 }
@@ -776,25 +838,13 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     let Some(op) = args.first().map(String::as_str) else {
         return Err(CliError::Usage("client requires an operation".into()));
     };
-    let flags = Flags(&args[1..]);
-    let addr = flags.require("--addr")?;
+    let Some((_, table)) = tables::CLIENT_OPS.iter().find(|(name, _)| *name == op) else {
+        return Err(CliError::Usage(format!("unknown client op `{op}`")));
+    };
     // Validate per-op flags BEFORE connecting: usage errors (exit 2) must
     // win over connection errors (exit 1).
-    match op {
-        "ingest" | "query" | "recommend" | "metrics" | "checkpoint" | "check" | "status"
-        | "shutdown" => {}
-        other => return Err(CliError::Usage(format!("unknown client op `{other}`"))),
-    }
-    let parse_ids = |key: &str| -> Result<Vec<u32>, CliError> {
-        flags
-            .get_all(key)
-            .into_iter()
-            .map(|s| {
-                s.parse()
-                    .map_err(|e| CliError::Usage(format!("bad {key}: {e}")))
-            })
-            .collect()
-    };
+    let flags = Flags::new(&format!("client {op}"), &args[1..], table)?;
+    let addr = flags.require("--addr")?;
 
     match op {
         "ingest" => {
@@ -808,9 +858,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             let mut rejections = 0u64;
             let mut attempts = 0u64;
             for chunk in records.chunks(batch_size) {
-                let stats = c
-                    .ingest_blocking(seq, chunk)
-                    .map_err(|e| CliError::Runtime(e.to_string()))?;
+                let stats = c.ingest_blocking(seq, chunk)?;
                 rejections += stats.rejections;
                 attempts += stats.attempts;
                 seq += 1;
@@ -824,12 +872,10 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "query" => {
-            let users: Vec<UserId> = parse_ids("--user")?.into_iter().map(UserId).collect();
-            let items: Vec<ItemId> = parse_ids("--item")?.into_iter().map(ItemId).collect();
+            let users = flags.parse_all("--user")?.into_iter().map(UserId).collect();
+            let items = flags.parse_all("--item")?.into_iter().map(ItemId).collect();
             let mut c = connect(addr)?;
-            let report = c
-                .query_risk(users, items)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
+            let report = c.query_risk(users, items)?;
             println!(
                 "epoch {} ({} groups){}",
                 report.epoch,
@@ -868,9 +914,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             );
             let n: usize = flags.parse("--n")?.unwrap_or(10);
             let mut c = connect(addr)?;
-            let rec = c
-                .recommend(user, n)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
+            let rec = c.recommend(user, n)?;
             println!(
                 "epoch {}{}",
                 rec.epoch,
@@ -883,21 +927,18 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
         }
         "metrics" => {
             let mut c = connect(addr)?;
-            let mut snap = c
-                .metrics(flags.has("--count-only"))
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
+            let mut snap = c.metrics(flags.has("--count-only"))?;
             if let Some(prefix) = flags.get("--filter") {
                 filter_snapshot(&mut snap, prefix);
             }
-            let json = serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?;
             match flags.get("--output") {
-                Some(path) => {
-                    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
-                    eprintln!("wrote {path}");
+                path @ Some(_) => write_json(path, &snap),
+                None => {
+                    let json = serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?;
+                    println!("{json}");
+                    Ok(())
                 }
-                None => println!("{json}"),
             }
-            Ok(())
         }
         "checkpoint" => {
             // A monolith answers with the checkpoint itself (written to
@@ -905,17 +946,14 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             // with the manifest path.
             let output = flags.get("--output");
             let mut c = connect(addr)?;
-            let resp = c
-                .request(&fake_click_detection::serve::Request::Checkpoint)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
+            let resp = c.request(&fake_click_detection::serve::Request::Checkpoint)?;
             match resp {
                 fake_click_detection::serve::Response::CheckpointTaken(ckpt) => {
                     let output =
                         output.ok_or_else(|| CliError::Usage("missing --output".into()))?;
-                    let json = serde_json::to_string_pretty(&ckpt).map_err(|e| e.to_string())?;
-                    std::fs::write(output, json).map_err(|e| format!("{output}: {e}"))?;
+                    write_json(Some(output), &ckpt)?;
                     eprintln!(
-                        "wrote {output} ({} records, {} groups, next_seq {})",
+                        "checkpoint holds {} records, {} groups, next_seq {}",
                         ckpt.records.len(),
                         ckpt.groups.len(),
                         ckpt.next_seq
@@ -947,7 +985,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
         }
         "status" => {
             let mut c = connect(addr)?;
-            let st = c.status().map_err(|e| CliError::Runtime(e.to_string()))?;
+            let st = c.status()?;
             println!(
                 "epoch {}  quorum {}  {}",
                 st.epoch,
@@ -968,16 +1006,11 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
         "check" => {
             let truth_path = flags.require("--truth")?;
             let min_recall: f64 = flags.parse("--min-recall")?.unwrap_or(1.0);
-            let text =
-                std::fs::read_to_string(truth_path).map_err(|e| format!("{truth_path}: {e}"))?;
-            let truth: fake_click_detection::datagen::GroundTruth =
-                serde_json::from_str(&text).map_err(|e| format!("{truth_path}: {e}"))?;
+            let truth: fake_click_detection::datagen::GroundTruth = read_json(truth_path)?;
             let users = truth.abnormal_users();
             let items = truth.abnormal_items();
             let mut c = connect(addr)?;
-            let report = c
-                .query_risk(users.clone(), items.clone())
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
+            let report = c.query_risk(users.clone(), items.clone())?;
             let missed_users: Vec<u32> = report
                 .users
                 .iter()
@@ -1016,7 +1049,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
         }
         "shutdown" => {
             let mut c = connect(addr)?;
-            c.shutdown().map_err(|e| CliError::Runtime(e.to_string()))?;
+            c.shutdown()?;
             eprintln!("server is draining");
             Ok(())
         }
@@ -1030,7 +1063,7 @@ fn connect(addr: &str) -> Result<Client, CliError> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
+    let flags = Flags::new("campaign", args, &tables::CAMPAIGN)?;
     let mut cfg = CampaignConfig::default();
     if let Some(days) = flags.parse("--days")? {
         cfg.num_days = days;
@@ -1053,13 +1086,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_stream(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags(args);
-    let (registry, metrics_out, count_only) = metrics_flags(&flags)?;
-    // Same dangling-value guard as --metrics-out: a bare `--out` at the
-    // end of the line must not silently discard the report.
-    if flags.0.last().map(String::as_str) == Some("--out") {
-        return Err(CliError::Usage("--out requires a value".into()));
-    }
+    let flags = Flags::new("stream", args, &tables::STREAM)?;
+    let (registry, metrics_out, count_only) = metrics_flags(&flags);
     let scenario_name = flags.get("--scenario").unwrap_or("burst");
     let mut scenario = match scenario_name {
         "burst" => ScenarioConfig::burst(),
@@ -1070,9 +1098,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
             )))
         }
     };
-    if let Some(seed) = flags.parse::<u64>("--seed")? {
-        scenario.seed = seed;
-    }
+    flags.set("--seed", &mut scenario.seed)?;
     let timeline = build_timeline(&scenario).map_err(CliError::Runtime)?;
     // --params derived resolves T_hot/T_click from the scenario's own
     // aggregate click table (the paper's Section IV-A derivations) instead
@@ -1095,18 +1121,10 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
         }
     };
     let mut cfg = StreamEvalConfig::new(ricd_params_over(base, &flags)?);
-    if let Some(w) = flags.parse::<u64>("--window")? {
-        cfg.window.window = Some(w);
-    }
-    if let Some(h) = flags.parse::<u64>("--decay")? {
-        cfg.window.half_life = Some(h);
-    }
-    if let Some(n) = flags.parse::<u64>("--detect-every")? {
-        cfg.window.detect_every = n;
-    }
-    if let Some(f) = flags.parse::<f64>("--flag-fraction")? {
-        cfg.flag_fraction = f;
-    }
+    cfg.window.window = flags.parse("--window")?.or(cfg.window.window);
+    cfg.window.half_life = flags.parse("--decay")?.or(cfg.window.half_life);
+    flags.set("--detect-every", &mut cfg.window.detect_every)?;
+    flags.set("--flag-fraction", &mut cfg.flag_fraction)?;
     cfg.validate().map_err(CliError::Usage)?;
     let report = replay_timeline(&timeline, &cfg, &registry)?;
     println!(
@@ -1135,13 +1153,6 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
         "final: precision {:.3} recall {:.3} f1 {:.3}",
         report.final_precision, report.final_recall, report.final_f1
     );
-    if let Some(path) = flags.get("--out") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        let mut f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        f.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-        f.write_all(b"\n").map_err(|e| e.to_string())?;
-        eprintln!("wrote {path}");
-    }
-    write_snapshot(&registry, metrics_out, count_only)?;
-    Ok(())
+    write_json(flags.get("--out"), &report)?;
+    write_snapshot(&registry, metrics_out, count_only)
 }

@@ -514,3 +514,74 @@ fn stream_unwritable_output_exits_1() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
 }
+
+/// Every command line is checked against its command's flag table before
+/// any work is done: what the table does not hold is a usage error naming
+/// the flag, never something to skip over.
+#[test]
+fn flags_a_command_does_not_take_exit_2_naming_the_flag() {
+    // The input does not exist: a usage error (exit 2) must win over the
+    // I/O error (exit 1) the run itself would end in.
+    let input = ["--input", "/nonexistent-dir/clicks.tsv"];
+    for (args, names, why) in [
+        (
+            &["detect", input[0], input[1], "--dedline-ms", "0"][..],
+            "unknown flag `--dedline-ms` for `ricd detect`",
+            "a misspelt flag must not run unbudgeted",
+        ),
+        (
+            &["detect", input[0], input[1], "--t_hot", "5"],
+            "unknown flag `--t_hot`",
+            "underscore for dash",
+        ),
+        (
+            &["detect", input[0], input[1], "--window", "5"],
+            "unknown flag `--window` for `ricd detect`",
+            "a `stream` flag on `detect`",
+        ),
+        (
+            &["stats", "--input", "--lossy"],
+            "--input requires a value",
+            "a value flag followed by a flag must not read a file called --lossy",
+        ),
+        (
+            &["detect", input[0], input[1], "--deadline-ms"],
+            "--deadline-ms requires a value",
+            "a dangling value flag",
+        ),
+        (
+            &["detect", input[0], input[1], "--k1", "5", "--k1", "6"],
+            "--k1 given more than once",
+            "a non-repeatable flag given twice",
+        ),
+        (
+            &["eval", "--adversarial", input[0], input[1]],
+            "unknown flag `--input` for `ricd eval --adversarial`",
+            "the adversarial lab takes no input files",
+        ),
+        (
+            &["client", "status", "--addr", "127.0.0.1:1", "--user", "3"],
+            "unknown flag `--user` for `ricd client status`",
+            "a `client query` flag on `client status`, before any connection",
+        ),
+        (
+            &["campaign", "13"],
+            "unknown flag `13` for `ricd campaign`",
+            "no command takes positional arguments",
+        ),
+    ] {
+        let out = ricd().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{why}: {err}");
+        assert!(err.contains(names), "{why}: {err}");
+        assert!(out.stdout.is_empty(), "{why}: no work done");
+    }
+    // A repeatable flag still repeats (the seeds then fail on the missing
+    // input, not on the flags).
+    let out = ricd()
+        .args(["detect", input[0], input[1]])
+        .args(["--seed-user", "1", "--seed-user", "2", "--seed-item", "3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+}
