@@ -73,6 +73,27 @@ pub struct Checkpoint {
     pub next_seq: u64,
 }
 
+impl Checkpoint {
+    /// Structural validity of a checkpoint read from outside the process:
+    /// every group's users and items exist in the graph its records build.
+    /// Ranking indexes the graph by those ids, so a restored checkpoint
+    /// that fails this would panic there.
+    pub fn validate(&self) -> Result<(), String> {
+        let live = || self.records.iter().filter(|&&(_, _, c)| c > 0);
+        let users = live().map(|&(u, _, _)| u.index() + 1).max().unwrap_or(0);
+        let items = live().map(|&(_, v, _)| v.index() + 1).max().unwrap_or(0);
+        for (i, g) in self.groups.iter().enumerate() {
+            if let Some(u) = g.users.iter().find(|u| u.index() >= users) {
+                return Err(format!("group {i} names user {u}, beyond {users} users"));
+            }
+            if let Some(v) = g.items.iter().find(|v| v.index() >= items) {
+                return Err(format!("group {i} names item {v}, beyond {items} items"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// An online RICD detector over an append-only click stream.
 pub struct StreamingDetector {
     pipeline: RicdPipeline,

@@ -1,5 +1,5 @@
 //! Assembling a full synthetic dataset: organic population + planted
-//! attacks + ground truth, in both table and graph form.
+//! attacks + ground truth.
 
 use crate::attack::{plan_attacks, IdAllocator};
 use crate::community::{
@@ -12,7 +12,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use ricd_graph::{BipartiteGraph, GraphBuilder, ItemId, UserId};
-use ricd_table::ClickTable;
 
 /// A complete synthetic dataset: the substitution for `TaoBao_UI_Clicks`
 /// plus the expert labels.
@@ -35,11 +34,6 @@ pub struct SyntheticDataset {
 }
 
 impl SyntheticDataset {
-    /// Relational form of the data (built on demand).
-    pub fn table(&self) -> ClickTable {
-        ClickTable::from_graph(&self.graph)
-    }
-
     /// Number of organic (non-worker) users.
     pub fn organic_users(&self) -> usize {
         self.config.num_users

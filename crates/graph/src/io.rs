@@ -1,14 +1,11 @@
 //! Import/export of click tables.
 //!
 //! The on-disk format mirrors the paper's `TaoBao_UI_Clicks` table: one
-//! record per line, `user_id \t item_id \t click`. A compact binary format
-//! (length-prefixed little-endian, via `bytes`) is provided for large
-//! synthetic datasets where TSV parsing would dominate load time.
+//! record per line, `user_id \t item_id \t click`.
 
 use crate::builder::GraphBuilder;
 use crate::graph::BipartiteGraph;
 use crate::ids::{ItemId, UserId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, BufRead, Write};
 
 /// Error raised while parsing a click table.
@@ -23,8 +20,6 @@ pub enum IoError {
         /// What was wrong with it.
         message: String,
     },
-    /// Binary payload truncated or with a bad magic header.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -32,7 +27,6 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "io error: {e}"),
             IoError::Parse { line, message } => write!(f, "line {line}: {message}"),
-            IoError::Corrupt(m) => write!(f, "corrupt payload: {m}"),
         }
     }
 }
@@ -105,9 +99,9 @@ fn parse_record(trimmed: &str, line: usize) -> Result<Record, LineError> {
     Ok((field("user id")?, field("item id")?, field("click count")?))
 }
 
-/// The one record loop over the TSV dialect every click-table reader (here
-/// and in `ricd_table::io`) speaks: tab-separated `u32 u32 u32`, blank lines
-/// and lines starting with `#` skipped, lines numbered from 1.
+/// The one record loop over the TSV dialect every click-table reader speaks:
+/// tab-separated `u32 u32 u32`, blank lines and lines starting with `#`
+/// skipped, lines numbered from 1.
 ///
 /// `each` sees every other line as its parsed record or — malformed, or not
 /// valid UTF-8 — as a [`LineError`]; what it returns as `Err` stops the read
@@ -185,87 +179,6 @@ fn read_lossy<R: BufRead>(r: R) -> Result<(LossyRead, u64), IoError> {
     })?;
     let graph = b.build();
     Ok((LossyRead { graph, errors }, ingested))
-}
-
-const MAGIC: &[u8; 8] = b"RICDCLK1";
-
-/// Serializes the graph's edge list into a compact binary buffer:
-/// `MAGIC | num_users u64 | num_items u64 | num_edges u64 | (u,v,c) u32×3 …`.
-pub fn to_bytes(g: &BipartiteGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + g.num_edges() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.num_users() as u64);
-    buf.put_u64_le(g.num_items() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
-    for (u, v, c) in g.edges() {
-        buf.put_u32_le(u.0);
-        buf.put_u32_le(v.0);
-        buf.put_u32_le(c);
-    }
-    buf.freeze()
-}
-
-/// Deserializes a buffer produced by [`to_bytes`].
-pub fn from_bytes(mut buf: Bytes) -> Result<BipartiteGraph, IoError> {
-    if buf.remaining() < 32 {
-        return Err(IoError::Corrupt("header truncated".into()));
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::Corrupt("bad magic".into()));
-    }
-    let users = buf.get_u64_le();
-    let items = buf.get_u64_le();
-    let edges = buf.get_u64_le();
-    // Vertex ids are u32, so a header claiming more vertices than the id
-    // space can address is corrupt no matter what follows. Below that,
-    // materializing the graph still costs O(users + items) memory before
-    // a single edge record is validated, so the format carries an explicit
-    // capacity bound: a corrupted (bit-flipped) header must not buy a
-    // multi-gigabyte allocation. 2^26 (~67M) vertices covers the paper's
-    // 20M-user production table with headroom.
-    const MAX_VERTICES: u64 = 1 << 26;
-    if users > MAX_VERTICES || items > MAX_VERTICES {
-        return Err(IoError::Corrupt(format!(
-            "vertex counts {users}/{items} exceed the format bound of {MAX_VERTICES}"
-        )));
-    }
-    let (users, items) = (users as usize, items as usize);
-    // `edges * 12` must not wrap: a hostile header with edges near the
-    // integer maximum would otherwise pass the length check and drive a
-    // huge allocation + read loop below.
-    match edges.checked_mul(12) {
-        Some(need) if buf.remaining() as u64 >= need => {}
-        _ => {
-            return Err(IoError::Corrupt(format!(
-                "expected {edges} edge records, have {} bytes",
-                buf.remaining()
-            )));
-        }
-    }
-    let edges = edges as usize;
-    // Even with a consistent header, never pre-allocate more than the
-    // payload can actually hold.
-    let mut b = GraphBuilder::with_capacity(edges.min(buf.remaining() / 12));
-    b.reserve_users(users).reserve_items(items);
-    for i in 0..edges {
-        let u = buf.get_u32_le();
-        let v = buf.get_u32_le();
-        let c = buf.get_u32_le();
-        // A well-formed file never references a vertex outside the counts
-        // its own header declares (to_bytes writes num_users/num_items).
-        // Without this check a single flipped high bit in an id would grow
-        // the builder to a multi-billion-vertex graph.
-        if u as usize >= users || v as usize >= items {
-            return Err(IoError::Corrupt(format!(
-                "edge record {i} references vertex ({u}, {v}) outside the \
-                 declared {users}x{items} graph"
-            )));
-        }
-        b.add_click(UserId(u), ItemId(v), c);
-    }
-    Ok(b.build())
 }
 
 #[cfg(test)]
@@ -406,79 +319,5 @@ mod tests {
         assert!(lossy.errors.is_empty());
         assert_eq!(lossy.graph.num_edges(), strict.num_edges());
         assert_eq!(lossy.graph.total_clicks(), strict.total_clicks());
-    }
-
-    #[test]
-    fn binary_round_trip_preserves_isolated_vertices() {
-        let g = sample();
-        let bytes = to_bytes(&g);
-        let g2 = from_bytes(bytes).unwrap();
-        assert_eq!(g2.num_users(), 5);
-        assert_eq!(g2.num_items(), 4);
-        assert_eq!(g2.num_edges(), 2);
-        assert_eq!(g2.clicks(UserId(2), ItemId(0)), Some(1));
-        g2.validate().unwrap();
-    }
-
-    #[test]
-    fn binary_rejects_truncation_and_bad_magic() {
-        let g = sample();
-        let bytes = to_bytes(&g);
-        let truncated = bytes.slice(0..bytes.len() - 1);
-        assert!(matches!(from_bytes(truncated), Err(IoError::Corrupt(_))));
-        let mut bad = BytesMut::from(&bytes[..]);
-        bad[0] = b'X';
-        assert!(matches!(from_bytes(bad.freeze()), Err(IoError::Corrupt(_))));
-        assert!(matches!(
-            from_bytes(Bytes::from_static(b"short")),
-            Err(IoError::Corrupt(_))
-        ));
-    }
-
-    /// A 32-byte header is all an attacker controls cheaply; every field
-    /// pushed to its extreme must yield `Corrupt`, never a wrapping length
-    /// check, a giant pre-allocation, or a panic in the read loop.
-    #[test]
-    fn binary_rejects_hostile_headers() {
-        let header = |users: u64, items: u64, edges: u64| {
-            let mut h = BytesMut::with_capacity(32);
-            h.put_slice(MAGIC);
-            h.put_u64_le(users);
-            h.put_u64_le(items);
-            h.put_u64_le(edges);
-            h.freeze()
-        };
-        // edges * 12 wraps around u64 (and usize).
-        for edges in [
-            u64::MAX,
-            u64::MAX / 2,
-            u64::MAX / 12 + 1,
-            (usize::MAX / 12 + 1) as u64,
-        ] {
-            assert!(
-                matches!(from_bytes(header(1, 1, edges)), Err(IoError::Corrupt(_))),
-                "edges={edges:#x} must be rejected"
-            );
-        }
-        // Plausible edge count, no payload: must not pre-allocate for the
-        // claimed count before noticing the buffer is empty.
-        assert!(matches!(
-            from_bytes(header(10, 10, 1 << 40)),
-            Err(IoError::Corrupt(_))
-        ));
-        // Vertex counts beyond the u32 id space.
-        assert!(matches!(
-            from_bytes(header(u64::MAX, 1, 0)),
-            Err(IoError::Corrupt(_))
-        ));
-        assert!(matches!(
-            from_bytes(header(1, u64::MAX, 0)),
-            Err(IoError::Corrupt(_))
-        ));
-        // An all-maximal header exercises every guard at once.
-        assert!(matches!(
-            from_bytes(header(u64::MAX, u64::MAX, u64::MAX)),
-            Err(IoError::Corrupt(_))
-        ));
     }
 }

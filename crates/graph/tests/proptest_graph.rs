@@ -56,7 +56,7 @@ proptest! {
         prop_assert_eq!(by_item, g.total_clicks());
     }
 
-    /// TSV and binary serialization round-trip the edge multiset.
+    /// TSV serialization round-trips the edge multiset.
     #[test]
     fn serialization_round_trips(recs in records()) {
         let g = build(&recs);
@@ -65,12 +65,8 @@ proptest! {
         let g_tsv = io::read_tsv(tsv.as_slice()).unwrap();
         prop_assert_eq!(g_tsv.num_edges(), g.num_edges());
         prop_assert_eq!(g_tsv.total_clicks(), g.total_clicks());
-
-        let g_bin = io::from_bytes(io::to_bytes(&g)).unwrap();
-        prop_assert_eq!(g_bin.num_users(), g.num_users());
-        prop_assert_eq!(g_bin.num_items(), g.num_items());
         let a: Vec<_> = g.edges().collect();
-        let b: Vec<_> = g_bin.edges().collect();
+        let b: Vec<_> = g_tsv.edges().collect();
         prop_assert_eq!(a, b);
     }
 

@@ -102,14 +102,19 @@ impl Manifest {
     }
 
     /// Loads the checkpoint a manifest entry names, resolved against the
-    /// manifest's directory `dir`.
+    /// manifest's directory `dir`. The entry's file name is checked before
+    /// anything is opened, and the checkpoint is validated after parsing.
     pub fn load_shard_checkpoint(dir: &Path, entry: &ManifestEntry) -> io::Result<Checkpoint> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        check_file_name(entry).map_err(invalid)?;
         let text = std::fs::read_to_string(dir.join(&entry.file))?;
-        serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let ckpt: Checkpoint = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+        ckpt.validate().map_err(invalid)?;
+        Ok(ckpt)
     }
 
-    /// Structural validity: version, one entry per shard, in shard order.
+    /// Structural validity: version, one entry per shard, in shard order,
+    /// each naming a plain file in the manifest's directory.
     pub fn validate(&self) -> Result<(), String> {
         if self.version != MANIFEST_VERSION {
             return Err(format!(
@@ -128,9 +133,22 @@ impl Manifest {
             if e.shard != i as u32 {
                 return Err(format!("entry {i} claims shard {}", e.shard));
             }
+            check_file_name(e)?;
         }
         Ok(())
     }
+}
+
+/// An entry's `file` must name a file inside the manifest's directory: no
+/// separator (so no absolute path either), and not empty, `.` or `..`.
+fn check_file_name(e: &ManifestEntry) -> Result<(), String> {
+    if matches!(e.file.as_str(), "" | "." | "..") || e.file.contains(['/', '\\']) {
+        return Err(format!(
+            "entry {} names file {:?}, which is not a file name in the manifest's directory",
+            e.shard, e.file
+        ));
+    }
+    Ok(())
 }
 
 /// Write-then-rename so a crash mid-write never corrupts the live file.
@@ -242,6 +260,12 @@ mod tests {
         assert!(m.validate().is_err(), "out-of-order shard index");
         m.entries[1].shard = 1;
         assert!(m.validate().is_ok());
+        for file in ["/etc/x", "../x", "..", ".", "", "a/b", "a/", "./a", "a\\b"] {
+            let mut bad = m.clone();
+            bad.entries[1].file = file.into();
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains("entry 1 names file"), "{file:?}: {err}");
+        }
         m.version = 99;
         assert!(m.validate().is_err(), "unknown version");
     }

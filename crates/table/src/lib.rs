@@ -1,25 +1,2 @@
-#![warn(missing_docs)]
-
-//! # ricd-table — columnar click-table store
-//!
-//! The paper runs its preprocessing (Table I/II statistics, threshold
-//! derivation, stratified sampling of the raw log) on **MaxCompute**,
-//! Alibaba's data-processing platform. This crate is the laptop-scale
-//! substitute: a columnar [`ClickTable`] with the handful of relational
-//! operations the pipeline needs — group-by aggregation per user and per
-//! item, filtering, top-k, stratified sampling — plus TSV/JSON I/O.
-//!
-//! A [`ClickTable`] is the *relational* form of the data
-//! (`User_ID, Item_ID, Click` — one row per pair, as in the paper's
-//! `TaoBao_UI_Clicks`); [`ricd_graph::BipartiteGraph`] is the *graph* form.
-//! [`ClickTable::to_graph`] and [`ClickTable::from_graph`] convert between
-//! them losslessly.
-
-pub mod aggregate;
-pub mod click_table;
-pub mod io;
-pub mod sampling;
-
-pub use aggregate::{GroupStats, TopK};
-pub use click_table::ClickTable;
-pub use sampling::{stratified_sample_items, StratifiedConfig};
+//! Empty on purpose — the frozen benchmark's `Cargo.lock` names this
+//! package; delete it when the benchmark is next revised.

@@ -1,295 +1,2 @@
-#![warn(missing_docs)]
-
-//! Offline stand-in for the `bytes` crate.
-//!
-//! Implements the subset this workspace uses: [`Bytes`] (a cheaply
-//! cloneable, sliceable view of an immutable buffer), [`BytesMut`] (a
-//! growable builder), and the [`Buf`]/[`BufMut`] cursor traits with the
-//! little-endian accessors the binary click-table format needs. Backed by
-//! `Arc<Vec<u8>>` + range instead of upstream's manual vtables — same
-//! semantics, less unsafe.
-
-use std::ops::{Deref, Index};
-use std::sync::Arc;
-
-/// A cheaply cloneable immutable byte buffer with zero-copy slicing.
-#[derive(Clone, Debug, Default)]
-pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
-
-impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps a static slice (copied; the shim has no true static path).
-    pub fn from_static(s: &'static [u8]) -> Self {
-        Self::from(s.to_vec())
-    }
-
-    /// Length of the view in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True if the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A zero-copy sub-view.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "slice out of bounds"
-        );
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Self {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(s: &[u8]) -> Self {
-        Self::from(s.to_vec())
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Bytes {}
-
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(s: &[u8]) -> Self {
-        Self { data: s.to_vec() }
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Index<usize> for BytesMut {
-    type Output = u8;
-    fn index(&self, i: usize) -> &u8 {
-        &self.data[i]
-    }
-}
-
-impl std::ops::IndexMut<usize> for BytesMut {
-    fn index_mut(&mut self, i: usize) -> &mut u8 {
-        &mut self.data[i]
-    }
-}
-
-/// Read cursor over a byte source.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// The unread bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Advances the cursor.
-    ///
-    /// # Panics
-    /// Panics if `n > remaining()`.
-    fn advance(&mut self, n: usize);
-
-    /// Copies `dst.len()` bytes into `dst` and advances.
-    ///
-    /// # Panics
-    /// Panics if fewer than `dst.len()` bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Reads a little-endian `u32` and advances.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64` and advances.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end");
-        self.start += n;
-    }
-}
-
-/// Write cursor appending to a byte sink.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_then_read_round_trip() {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_slice(b"HDR");
-        buf.put_u64_le(0xDEAD_BEEF_CAFE_F00D);
-        buf.put_u32_le(42);
-        let mut b = buf.freeze();
-        let mut hdr = [0u8; 3];
-        b.copy_to_slice(&mut hdr);
-        assert_eq!(&hdr, b"HDR");
-        assert_eq!(b.get_u64_le(), 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(b.get_u32_le(), 42);
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    fn slicing_is_a_view() {
-        let b = Bytes::from(&b"0123456789"[..]);
-        let s = b.slice(2..6);
-        assert_eq!(&s[..], b"2345");
-        assert_eq!(s.len(), 4);
-        let ss = s.slice(1..3);
-        assert_eq!(&ss[..], b"34");
-        assert_eq!(b.len(), 10, "parent untouched");
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn underflow_panics() {
-        let mut b = Bytes::from(&b"ab"[..]);
-        b.get_u32_le();
-    }
-
-    #[test]
-    fn bytes_mut_indexing() {
-        let mut b = BytesMut::from(&b"xyz"[..]);
-        b[0] = b'X';
-        assert_eq!(b[0], b'X');
-        assert_eq!(b.freeze(), Bytes::from(&b"Xyz"[..]));
-    }
-}
+//! Empty on purpose — the frozen benchmark's `Cargo.lock` names this
+//! package; delete it when the benchmark is next revised.

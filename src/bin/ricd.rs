@@ -797,6 +797,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let state = match flags.get("--resume") {
         Some(path) => {
             let ckpt: fake_click_detection::core::prelude::Checkpoint = read_json(path)?;
+            ckpt.validate().map_err(|e| format!("{path}: {e}"))?;
             eprintln!("resuming from {path} (next_seq {})", ckpt.next_seq);
             ServeState::restore(cfg, pipeline, ckpt)
         }

@@ -23,7 +23,6 @@ pub use ricd_graph as graph;
 pub use ricd_obs as obs;
 pub use ricd_recommender as recommender;
 pub use ricd_serve as serve;
-pub use ricd_table as table;
 
 /// Commonly used types, one `use` away.
 pub mod prelude {

@@ -1,9 +1,10 @@
 //! Chaos suite: deterministic fault injection against the detection
 //! runtime. The contract under test, end to end:
 //!
-//! 1. **Never abort** — injected worker panics, corrupt bytes, truncated
-//!    files, and replayed stream batches must surface as typed errors,
-//!    quarantine reports, or degraded-but-complete runs; never as a crash.
+//! 1. **Never abort** — injected worker panics, corrupt or truncated
+//!    checkpoints and manifests, corrupt TSV lines, and replayed stream
+//!    batches must surface as typed errors, quarantine reports, or
+//!    degraded-but-complete runs; never as a crash.
 //! 2. **Never silently wrong** — whenever a run completes despite faults,
 //!    its output must either equal the fault-free run (transient faults,
 //!    replays, crash/resume) or be explicitly marked (degraded status,
@@ -17,6 +18,8 @@ use fake_click_detection::engine::{
     partition_ranges, EngineError, FaultInjector, FaultPlan, WorkerPool,
 };
 use fake_click_detection::graph::{io as graph_io, GraphBuilder, ItemId, UserId};
+use fake_click_detection::serve::{Manifest, MANIFEST_FILE};
+use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -103,39 +106,6 @@ fn sample_graph() -> fake_click_detection::graph::BipartiteGraph {
 }
 
 #[test]
-fn truncation_at_every_byte_is_a_typed_error() {
-    let bytes = graph_io::to_bytes(&sample_graph());
-    for n in 0..bytes.len() {
-        let cut = truncate_at(&bytes, n);
-        match graph_io::from_bytes(cut.into()) {
-            Err(graph_io::IoError::Corrupt(_)) => {}
-            Ok(_) => panic!("truncation at byte {n} parsed as a full graph"),
-            Err(other) => panic!("truncation at byte {n}: unexpected error {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn bit_flips_never_panic_and_accepted_graphs_validate() {
-    let bytes = graph_io::to_bytes(&sample_graph());
-    let mut accepted = 0;
-    for seed in 0..64u64 {
-        let flipped = flip_bytes(&bytes, seed, 3);
-        if let Ok(g) = graph_io::from_bytes(flipped.into()) {
-            // A payload flip can masquerade as data (no checksum in the
-            // format) — but it must never produce a structurally broken
-            // graph.
-            g.validate()
-                .unwrap_or_else(|e| panic!("seed {seed}: accepted graph invalid: {e}"));
-            accepted += 1;
-        }
-    }
-    // Most 3-bit faults land in the header/length machinery and are
-    // rejected; some payload flips parse. Both paths must be exercised.
-    assert!(accepted < 64, "some flips must be rejected");
-}
-
-#[test]
 fn flipped_tsv_is_quarantined_line_by_line() {
     let g = sample_graph();
     let mut tsv = Vec::new();
@@ -159,6 +129,141 @@ fn flipped_tsv_is_quarantined_line_by_line() {
             "seed {seed}: more records+errors than lines"
         );
     }
+}
+
+// ------------------------------------------------- checkpoints and manifests
+
+/// Feeds `load` every byte-level mutation of `bytes`: a cut at every byte,
+/// every single-bit flip (most still decode, and so reach `resume`) and 768
+/// seeded 3-bit flips. Each must fail typed, or load into a value `resume`
+/// drives without panicking; no cut may load. Returns how many loaded.
+fn fuzz<T>(bytes: &[u8], load: impl Fn(&[u8]) -> Result<T, String>, resume: impl Fn(T)) -> usize {
+    let cuts = (0..bytes.len()).map(|n| (format!("cut at byte {n}"), truncate_at(bytes, n)));
+    let bits = (0..bytes.len() * 8).map(|bit| {
+        let mut out = bytes.to_vec();
+        out[bit / 8] ^= 1 << (bit % 8);
+        (format!("flip of bit {bit}"), out)
+    });
+    let flips = (0..768).map(|seed| (format!("3-bit flip {seed}"), flip_bytes(bytes, seed, 3)));
+    let mut loaded = 0;
+    for (case, mutated) in cuts.chain(bits).chain(flips) {
+        let Ok(value) = load(&mutated) else { continue };
+        assert!(!case.starts_with("cut"), "{case}: loaded");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| resume(value)));
+        assert!(run.is_ok(), "{case}: panicked");
+        loaded += 1;
+    }
+    loaded
+}
+
+/// Decodes what the product reads from disk: UTF-8 text, then JSON.
+fn decode<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+/// Thresholds small enough that `fuzz_clicks` holds a group, so mutations
+/// reach group fields as well as records.
+fn fuzz_pipeline() -> RicdPipeline {
+    let mut p = RicdParams::default();
+    (p.k1, p.k2, p.t_hot, p.t_click) = (3, 3, 30, 5);
+    RicdPipeline::new(p)
+}
+
+/// A hot item (`ItemId(0)`, 36 organic clickers) ridden by four workers
+/// who each click four targets heavily.
+fn fuzz_clicks() -> Vec<(UserId, ItemId, u32)> {
+    let mut clicks: Vec<_> = (10..46u32).map(|u| (UserId(u), ItemId(0), 1)).collect();
+    for u in 0..4u32 {
+        clicks.push((UserId(u), ItemId(0), 1));
+        clicks.extend((1..5u32).map(|v| (UserId(u), ItemId(v), 6)));
+    }
+    clicks
+}
+
+fn fuzz_checkpoint() -> Checkpoint {
+    let mut d = StreamingDetector::new(fuzz_pipeline());
+    d.ingest(&fuzz_clicks());
+    assert!(!d.groups().is_empty(), "the fuzz world holds a group");
+    d.checkpoint()
+}
+
+/// Restores a checkpoint; the graph must validate, one more batch must
+/// ingest and the result must return.
+fn resume_stream(ckpt: Checkpoint) {
+    let mut d = StreamingDetector::restore(fuzz_pipeline(), ckpt);
+    d.graph().validate().expect("restored graph validates");
+    d.ingest(&[(UserId(4), ItemId(1), 6)]);
+    d.result();
+}
+
+#[test]
+fn mutated_checkpoints_fail_typed_or_resume_cleanly() {
+    let json = serde_json::to_string(&fuzz_checkpoint()).unwrap();
+    let refused = std::cell::Cell::new(0);
+    let load = |b: &[u8]| {
+        let ckpt = decode::<Checkpoint>(b)?;
+        ckpt.validate()
+            .inspect_err(|_| refused.set(refused.get() + 1))?;
+        Ok(ckpt)
+    };
+    assert!(fuzz(json.as_bytes(), load, resume_stream) > 0);
+    assert!(refused.get() > 0, "no flip moved a group outside the graph");
+}
+
+#[test]
+fn mutated_window_checkpoints_fail_typed_or_resume_cleanly() {
+    let cfg = WindowConfig {
+        window: Some(50),
+        half_life: Some(20),
+        ..WindowConfig::default()
+    };
+    let mut d = WindowedDetector::new(fuzz_pipeline(), cfg).unwrap();
+    let clicks: Vec<_> = fuzz_clicks()
+        .into_iter()
+        .map(|(u, v, c)| (u, v, c, 10))
+        .collect();
+    d.ingest(&clicks);
+    assert!(!d.result().groups.is_empty(), "the window holds a group");
+    let json = serde_json::to_string(&d.checkpoint()).unwrap();
+    let resume = |ckpt| {
+        let mut d = WindowedDetector::restore(fuzz_pipeline(), cfg, ckpt).expect("restores");
+        d.window_graph().validate().expect("window graph validates");
+        d.ingest(&[(UserId(4), ItemId(1), 6, 30)]);
+        d.result();
+    };
+    assert!(fuzz(json.as_bytes(), decode::<WindowCheckpoint>, resume) > 0);
+}
+
+/// A mutated `manifest.json` must fail `Manifest::load` with `InvalidData`,
+/// or name shard files that resume or, under a flipped name, are missing.
+#[test]
+fn mutated_manifests_fail_typed_or_resume_cleanly() {
+    let dir = tmp("manifest-fuzz");
+    let ckpt = fuzz_checkpoint();
+    for shard in 0..2 {
+        Manifest::write_shard_checkpoint(&dir, shard, &ckpt).unwrap();
+    }
+    let bytes = br#"{"version":1,"shards":2,"hash_seed":7,"epoch":3,"next_global_seq":1,"entries":[
+        {"shard":0,"file":"shard-0.ckpt.json","next_seq":1,"epoch":3},
+        {"shard":1,"file":"shard-1.ckpt.json","next_seq":1,"epoch":3}]}"#;
+    let load = |b: &[u8]| {
+        std::fs::write(dir.join(MANIFEST_FILE), b).unwrap();
+        Manifest::load(&dir).map_err(|e| {
+            assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}");
+            e.to_string()
+        })
+    };
+    let resume = |m: Manifest| {
+        for entry in &m.entries {
+            match Manifest::load_shard_checkpoint(&dir, entry) {
+                Ok(ckpt) => resume_stream(ckpt),
+                Err(e) => assert_eq!(e.kind(), ErrorKind::NotFound, "{e}"),
+            }
+        }
+    };
+    assert!(fuzz(bytes, load, resume) > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // -------------------------------------------------------------- streaming

@@ -134,34 +134,6 @@ fn seeded_detection_recovers_the_seeded_group() {
 }
 
 #[test]
-fn table_and_graph_forms_agree() {
-    use fake_click_detection::table::ClickTable;
-    let ds = dataset();
-    let table = ds.table();
-    assert_eq!(table.num_rows(), ds.graph.num_edges());
-    assert_eq!(table.total_clicks(), ds.graph.total_clicks());
-    let g2 = table.to_graph_with_capacity(ds.graph.num_users(), ds.graph.num_items());
-    let a: Vec<_> = ds.graph.edges().collect();
-    let b: Vec<_> = g2.edges().collect();
-    assert_eq!(a, b);
-    let t2 = ClickTable::from_graph(&g2);
-    assert_eq!(table, t2);
-}
-
-#[test]
-fn graph_serialization_preserves_detection() {
-    use fake_click_detection::graph::io;
-    let ds = dataset();
-    let bytes = io::to_bytes(&ds.graph);
-    let g2 = io::from_bytes(bytes).expect("round trip");
-    let cfg = MethodConfig::default();
-    let r1 = cfg.run(Method::Ricd, &ds.graph);
-    let r2 = cfg.run(Method::Ricd, &g2);
-    assert_eq!(r1.suspicious_users(), r2.suspicious_users());
-    assert_eq!(r1.suspicious_items(), r2.suspicious_items());
-}
-
-#[test]
 fn campaign_case_study_detects_before_the_end() {
     let campaign = CampaignConfig {
         dataset: DatasetConfig::tiny(),

@@ -16,7 +16,8 @@
 //!   shard is marked `Down` and self-heals when it resumes.
 //! * **Manifest resume** — a full process restart from `manifest.json`
 //!   reconstructs routing state and global-sequence dedup, so redelivered
-//!   pre-checkpoint batches are acked idempotently.
+//!   pre-checkpoint batches are acked idempotently; a manifest naming a
+//!   file outside its directory is refused before that file is read.
 
 use fake_click_detection::engine::{ServeFault, ServeFaultPlan, WorkerPool};
 use fake_click_detection::graph::{ItemId, UserId};
@@ -333,6 +334,33 @@ fn manifest_restart_resumes_the_topology_equivalently() {
         "manifest-resumed views must match the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_manifest_naming_a_file_outside_its_directory_is_refused() {
+    // A valid checkpoint one level above the manifest: following the
+    // entry's `../` would resume from it.
+    let root = temp_dir("escape");
+    let ckpt = StreamingDetector::new(RicdPipeline::new(RicdParams::default())).checkpoint();
+    let json = serde_json::to_string(&ckpt).unwrap();
+    std::fs::create_dir_all(root.join("ckpt")).unwrap();
+    std::fs::write(root.join("outside.ckpt.json"), json).unwrap();
+    let cfg = router_config(1, ServeFaultPlan::none());
+    let manifest = root.join("ckpt").join("manifest.json");
+    let json = r#"{"version":1,"shards":1,"hash_seed":SEED,"epoch":0,"next_global_seq":0,
+        "entries":[{"shard":0,"file":"../outside.ckpt.json","next_seq":0,"epoch":0}]}"#;
+    std::fs::write(&manifest, json.replace("SEED", &cfg.hash_seed.to_string())).unwrap();
+    let err = match start_router(cfg, MetricsRegistry::new(), "127.0.0.1:0", Some(&manifest)) {
+        Ok(_) => panic!("resumed from a checkpoint outside the manifest's directory"),
+        Err(e) => e,
+    };
+    let msg = err.to_string();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{msg}");
+    assert!(
+        msg.contains(r#"entry 0 names file "../outside.ckpt.json""#),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
