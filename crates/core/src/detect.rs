@@ -82,8 +82,7 @@ fn seed_ball(g: &BipartiteGraph, seeds: &Seeds) -> (Vec<UserId>, Vec<ItemId>) {
 }
 
 /// The working view Algorithm 2 starts from: the full graph without seeds,
-/// or the two-hop seed ball with them. Shared with the sharded runtime so
-/// both paths search the identical region.
+/// or the two-hop seed ball with them.
 ///
 /// A seed id the graph does not have has no ball, so it is dropped; seeds
 /// that are *all* out of range leave the empty ball, not the unseeded run.
@@ -132,17 +131,7 @@ pub fn detect_groups_with(
     let mut view = starting_view(g, seeds);
 
     let stats = extract_with(&mut view, params, pool, strategy, mode, metrics);
-    DetectedGroups {
-        groups: surviving_groups(&view, params),
-        stats,
-    }
-}
-
-/// Splits the extraction survivors into connected components, each one a
-/// candidate group. Shared with the sharded runtime: both paths finish on a
-/// view holding the same alive set.
-pub(crate) fn surviving_groups(view: &GraphView<'_>, params: &RicdParams) -> Vec<SuspiciousGroup> {
-    connected_components(view)
+    let groups = connected_components(&view)
         .into_iter()
         // A component smaller than (k₁, k₂) cannot contain a qualifying
         // structure; singletons and slivers are artifacts, not attacks.
@@ -152,7 +141,63 @@ pub(crate) fn surviving_groups(view: &GraphView<'_>, params: &RicdParams) -> Vec
             items: c.items,
             ridden_hot_items: Vec::new(),
         })
-        .collect()
+        .collect();
+    DetectedGroups { groups, stats }
+}
+
+/// The configuration [`detect_groups_sharded`] and
+/// [`RicdPipeline::run_sharded`](crate::pipeline::RicdPipeline::run_sharded)
+/// take. Batch detection has one path, so there is nothing to configure.
+/// Braced rather than a unit struct so callers keep writing
+/// `ShardConfig::default()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardConfig {}
+
+/// Why [`detect_groups_sharded`] returned no groups.
+#[derive(Debug)]
+pub enum ShardAbort {
+    /// The deadline had passed when the fixpoint finished.
+    DeadlineExceeded,
+}
+
+impl std::fmt::Display for ShardAbort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardAbort::DeadlineExceeded => write!(f, "deadline exceeded during detection"),
+        }
+    }
+}
+
+/// [`detect_groups_with`] under the pipeline's defaults
+/// ([`SquareStrategy::Parallel`], [`FixpointMode::Delta`]), polling
+/// `deadline_exceeded` once the fixpoint is done: a tripped deadline
+/// returns [`ShardAbort::DeadlineExceeded`] instead of the groups.
+///
+/// After the Lemma-1 pre-filter the survivors of a real click graph form
+/// one hub-glued component, so splitting them buys no parallelism that the
+/// fixpoint's own rounds on `pool` do not already have (see DESIGN.md).
+pub fn detect_groups_sharded(
+    g: &BipartiteGraph,
+    seeds: &Seeds,
+    params: &RicdParams,
+    pool: &WorkerPool,
+    _cfg: &ShardConfig,
+    deadline_exceeded: &(dyn Fn() -> bool + Sync),
+    metrics: Option<&MetricsRegistry>,
+) -> Result<DetectedGroups, ShardAbort> {
+    let detected = detect_groups_with(
+        g,
+        seeds,
+        params,
+        pool,
+        SquareStrategy::Parallel,
+        FixpointMode::Delta,
+        metrics,
+    );
+    if deadline_exceeded() {
+        return Err(ShardAbort::DeadlineExceeded);
+    }
+    Ok(detected)
 }
 
 #[cfg(test)]
@@ -241,7 +286,6 @@ mod tests {
     fn out_of_range_seeds_have_no_ball() {
         use crate::pipeline::RicdPipeline;
         use crate::result::RunStatus;
-        use crate::shard_run::ShardConfig;
 
         let g = graph();
         let absent = Seeds {
@@ -254,10 +298,7 @@ mod tests {
         let pipeline = RicdPipeline::new(RicdParams::default())
             .with_pool(WorkerPool::new(2))
             .with_seeds(absent);
-        let sharded = ShardConfig {
-            shards: Some(2),
-            max_users: None,
-        };
+        let sharded = ShardConfig::default();
         for result in [pipeline.run(&g), pipeline.run_sharded(&g, &sharded)] {
             assert!(result.groups.is_empty());
             assert_eq!(result.status, RunStatus::Complete);
@@ -277,6 +318,24 @@ mod tests {
         );
         assert_eq!(out.groups.len(), 1);
         assert!(out.groups[0].items.contains(&ItemId(0)));
+    }
+
+    #[test]
+    fn deadline_already_exceeded_aborts() {
+        let run = |deadline_exceeded: &(dyn Fn() -> bool + Sync)| {
+            detect_groups_sharded(
+                &graph(),
+                &Seeds::none(),
+                &RicdParams::default(),
+                &WorkerPool::new(2),
+                &ShardConfig::default(),
+                deadline_exceeded,
+                None,
+            )
+        };
+        let err = run(&|| true).unwrap_err();
+        assert!(matches!(err, ShardAbort::DeadlineExceeded));
+        assert_eq!(run(&|| false).unwrap().groups.len(), 2);
     }
 
     #[test]

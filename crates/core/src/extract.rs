@@ -10,13 +10,12 @@
 //!   neighbors — and every member item ≥ `k₂` (α, k₁)-neighbors.
 //!
 //! This module holds the **only** loop that alternates the two rules. It
-//! is generic over the view ([`PruneView`]), so unsharded detection, every
-//! shard-local prune and the sharded reconciliation are the same call on
-//! different views ([`crate::shard_run`]); a hash shard additionally pins
-//! its halo users and boundary items through [`Removable`] masks. Each rule
-//! is written once, for the user side of the view it is handed; the item
-//! side is the same pass on the [`Transposed`] view with the two per-side
-//! states (`Side`) exchanged.
+//! is generic over the view ([`PruneView`]): batch detection, seeded
+//! detection and the streaming re-detects all run it on a
+//! [`GraphView`], and a mid-fixpoint compaction continues it on the dense
+//! [`InducedSubgraph`] copy. Each rule is written once, for the user side
+//! of the view it is handed; the item side is the same pass on the
+//! [`Transposed`] view with the two per-side states (`Side`) exchanged.
 //!
 //! Two execution strategies are provided:
 //!
@@ -85,8 +84,7 @@ pub enum FixpointMode {
 /// Counters describing one extraction run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExtractionStats {
-    /// Alternation rounds until the fixpoint (summed over every fixpoint a
-    /// sharded run executes).
+    /// Alternation rounds until the fixpoint.
     pub rounds: usize,
     /// Users removed by CorePruning.
     pub core_removed_users: usize,
@@ -124,40 +122,6 @@ impl ExtractionStats {
         self.kernel_wedge += tally.wedge;
         self.kernel_blocked += tally.blocked;
     }
-
-    /// Folds another fixpoint's counters into this run's.
-    pub(crate) fn absorb(&mut self, other: &ExtractionStats) {
-        self.rounds += other.rounds;
-        self.core_removed_users += other.core_removed_users;
-        self.core_removed_items += other.core_removed_items;
-        self.square_removed_users += other.square_removed_users;
-        self.square_removed_items += other.square_removed_items;
-        self.dirty_users += other.dirty_users;
-        self.dirty_items += other.dirty_items;
-        self.skipped_users += other.skipped_users;
-        self.skipped_items += other.skipped_items;
-        self.compactions += other.compactions;
-        self.kernel_wedge += other.kernel_wedge;
-        self.kernel_blocked += other.kernel_blocked;
-        // Max, not sum: registries are per-fixpoint and freed when it ends,
-        // so the gauge reports peak working-set bytes.
-        self.hub_bitmap_bytes = self.hub_bitmap_bytes.max(other.hub_bitmap_bytes);
-    }
-}
-
-/// Which vertices a fixpoint may remove, one optional mask per side indexed
-/// by vertex id; `None` means every vertex on that side.
-///
-/// A hash shard pins its halo users and boundary items this way: their
-/// local counts are not exact, so only the masked-in vertices (whose counts
-/// are) may be removed, which keeps every shard-local removal globally
-/// sound. Pinned vertices still count as alive neighbors.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Removable<'a> {
-    /// `users[u]` is true when user `u` may be removed.
-    pub users: Option<&'a [bool]>,
-    /// `items[v]` is true when item `v` may be removed.
-    pub items: Option<&'a [bool]>,
 }
 
 /// Compact the view once fewer than 1 in `COMPACT_ALIVE_DIVISOR` vertices
@@ -190,45 +154,16 @@ pub fn extract_with<V: PruneView + Sync>(
     mode: FixpointMode,
     metrics: Option<&MetricsRegistry>,
 ) -> ExtractionStats {
-    let all = Removable::default();
-    extract_masked(view, all, params, pool, strategy, mode, metrics)
-}
-
-/// [`extract_with`] restricted to the `removable` vertices: the fixpoint of
-/// the two rules over those, with everything else pinned alive.
-pub fn extract_masked<V: PruneView + Sync>(
-    view: &mut V,
-    removable: Removable<'_>,
-    params: &RicdParams,
-    pool: &WorkerPool,
-    strategy: SquareStrategy,
-    mode: FixpointMode,
-    metrics: Option<&MetricsRegistry>,
-) -> ExtractionStats {
     let ctx = FixpointCtx {
         params,
         pool,
         strategy,
         mode,
         metrics,
-        removable,
     };
     let mut stats = ExtractionStats::default();
     run_fixpoint(view, &ctx, None, 1, &mut stats);
     stats
-}
-
-/// CorePruning alone, to its own fixpoint, over every alive vertex: the
-/// sharded runtime's pre-filter. Returns `(removed users, removed items)`.
-pub(crate) fn core_prune<V: PruneView + Sync>(
-    view: &mut V,
-    params: &RicdParams,
-    pool: &WorkerPool,
-) -> (usize, usize) {
-    let (mut users, mut items) = sides(view, params, Removable::default());
-    let (user_seeds, item_seeds) = (alive_ids(view), alive_ids(&Transposed(&*view)));
-    core_pruning(view, &mut users, &mut items, pool, user_seeds, item_seeds);
-    (users.core_removed, items.core_removed)
 }
 
 /// Immutable per-run configuration threaded through the fixpoint.
@@ -239,25 +174,22 @@ struct FixpointCtx<'a> {
     strategy: SquareStrategy,
     mode: FixpointMode,
     metrics: Option<&'a MetricsRegistry>,
-    removable: Removable<'a>,
 }
 
-/// One side's share of a fixpoint level: its bounds, its mask, and what
-/// its passes keep between rounds.
+/// One side's share of a fixpoint level: its bounds and what its passes
+/// keep between rounds.
 ///
 /// Algorithm 3 states each rule once, for "a vertex", with `(k₁, k₂)`
 /// swapped by side, and so does this module: every pass below is written
 /// for the **user** side of the view it is handed and takes `(this, other)`
 /// sides. The item side is the same call on the [`Transposed`] view with
 /// the two `Side`s exchanged.
-struct Side<'a> {
+struct Side {
     /// Lemma 1: the minimum live degree.
     degree_bound: usize,
     /// Lemma 2: `k` same-side partners sharing ≥ `common_bound` neighbors.
     common_bound: u32,
     k: usize,
-    /// Which of these vertices may be removed; `None` means all.
-    mask: Option<&'a [bool]>,
     /// What this level removed on this side, in removal order. Every
     /// removal the fixpoint makes is logged, so "what disappeared since
     /// pass X last ran?" is a suffix of the two logs and each pass derives
@@ -277,13 +209,6 @@ struct Side<'a> {
     skipped: usize,
 }
 
-impl Side<'_> {
-    #[inline]
-    fn removable(&self, id: u32) -> bool {
-        self.mask.is_none_or(|m| m[id as usize])
-    }
-}
-
 /// Removes an **alive** user of `view` (callers check), logging it once.
 fn remove<T: PruneView>(view: &mut T, log: &mut Vec<u32>, u: u32) {
     view.remove_user(UserId(u));
@@ -291,16 +216,11 @@ fn remove<T: PruneView>(view: &mut T, log: &mut Vec<u32>, u: u32) {
 }
 
 /// The `(user, item)` sides of a fresh fixpoint level on `view`.
-fn sides<'a, V: PruneView>(
-    view: &V,
-    params: &RicdParams,
-    removable: Removable<'a>,
-) -> (Side<'a>, Side<'a>) {
-    let side = |n, mask, degree_bound, common_bound, k| Side {
+fn sides<V: PruneView>(view: &V, params: &RicdParams) -> (Side, Side) {
+    let side = |n, degree_bound, common_bound, k| Side {
         degree_bound,
         common_bound,
         k,
-        mask,
         log: Vec::new(),
         core_mark: 0,
         square_mark: (0, 0),
@@ -314,14 +234,12 @@ fn sides<'a, V: PruneView>(
     (
         side(
             view.num_users(),
-            removable.users,
             params.user_degree_bound(),
             params.user_common_bound(),
             params.k1,
         ),
         side(
             view.num_items(),
-            removable.items,
             params.item_degree_bound(),
             params.item_common_bound(),
             params.k2,
@@ -353,7 +271,7 @@ fn run_fixpoint<V: PruneView + Sync>(
     start_round: usize,
     stats: &mut ExtractionStats,
 ) {
-    let (mut users, mut items) = sides(view, ctx.params, ctx.removable);
+    let (mut users, mut items) = sides(view, ctx.params);
     // Hub bitmaps are built at most once per fixpoint level — lazily,
     // after the first CorePruning fixpoint has collapsed the degree
     // distribution — and stay sound for every later round (monotone
@@ -480,18 +398,14 @@ fn should_compact<V: PruneView>(view: &V) -> bool {
 
 /// Alive users whose live degree fell since CorePruning last finished: the
 /// neighbors of the items removed since.
-fn core_frontier<T: NeighborView>(view: &T, this: &mut Side<'_>, other: &Side<'_>) -> Vec<u32> {
+fn core_frontier<T: NeighborView>(view: &T, this: &mut Side, other: &Side) -> Vec<u32> {
     let removed_items = &other.log[other.core_mark..];
     frontier::core_dirty(&Transposed(view), removed_items, &mut this.seen)
 }
 
 /// Alive users whose common-neighbor counts may have fallen since this
 /// side's SquarePruning pass last started.
-fn square_frontier<T: NeighborView>(
-    view: &T,
-    this: &mut Side<'_>,
-    other: &mut Side<'_>,
-) -> Vec<u32> {
+fn square_frontier<T: NeighborView>(view: &T, this: &mut Side, other: &mut Side) -> Vec<u32> {
     let (own, others) = this.square_mark;
     let (removed_users, removed_items) = (&this.log[own..], &other.log[others..]);
     frontier::square_dirty(
@@ -512,8 +426,8 @@ fn square_frontier<T: NeighborView>(
 fn carry_into<V: PruneView>(
     sub: &InducedSubgraph,
     view: &V,
-    users: &mut Side<'_>,
-    items: &mut Side<'_>,
+    users: &mut Side,
+    items: &mut Side,
     square_full: bool,
 ) -> Carryover {
     let transposed = Transposed(view);
@@ -543,7 +457,7 @@ fn carry_into<V: PruneView>(
 }
 
 /// Continues the fixpoint on the dense copy `sub` of `view`'s alive region
-/// (masks translated in through the id maps) and applies the deaths back.
+/// and applies the deaths back.
 fn resume_compacted<V: PruneView>(
     view: &mut V,
     sub: &InducedSubgraph,
@@ -553,22 +467,8 @@ fn resume_compacted<V: PruneView>(
     stats: &mut ExtractionStats,
 ) {
     stats.compactions += 1;
-    let removable = ctx.removable;
-    let user_mask: Option<Vec<bool>> = removable
-        .users
-        .map(|m| sub.user_map.iter().map(|p| m[p.index()]).collect());
-    let item_mask: Option<Vec<bool>> = removable
-        .items
-        .map(|m| sub.item_map.iter().map(|p| m[p.index()]).collect());
-    let local_ctx = FixpointCtx {
-        removable: Removable {
-            users: user_mask.as_deref(),
-            items: item_mask.as_deref(),
-        },
-        ..*ctx
-    };
     let mut local = GraphView::full(&sub.graph);
-    run_fixpoint(&mut local, &local_ctx, Some(carry), round, stats);
+    run_fixpoint(&mut local, ctx, Some(carry), round, stats);
     for (li, &parent) in sub.user_map.iter().enumerate() {
         if !local.user_alive(UserId(li as u32)) {
             view.remove_user(parent);
@@ -604,8 +504,8 @@ fn merge_sorted(into: &mut Vec<u32>, other: &[u32]) {
 /// whole-range scan would visit, minus the vertices that never got dirty.
 fn core_pruning<V: PruneView + Sync>(
     view: &mut V,
-    users: &mut Side<'_>,
-    items: &mut Side<'_>,
+    users: &mut Side,
+    items: &mut Side,
     pool: &WorkerPool,
     mut user_worklist: Vec<u32>,
     mut item_worklist: Vec<u32>,
@@ -630,16 +530,16 @@ fn core_pruning<V: PruneView + Sync>(
 /// them.
 fn core_step<T: PruneView + Sync>(
     view: &mut T,
-    this: &mut Side<'_>,
-    other: &mut Side<'_>,
+    this: &mut Side,
+    other: &mut Side,
     pool: &WorkerPool,
     worklist: &[u32],
 ) -> Vec<u32> {
     let doomed: Vec<u32> = {
-        let (view, this): (&T, &Side<'_>) = (view, this);
+        let (view, this): (&T, &Side) = (view, this);
         let doomed = |u: &u32| {
             let id = UserId(*u);
-            view.user_alive(id) && this.removable(*u) && view.user_degree(id) < this.degree_bound
+            view.user_alive(id) && view.user_degree(id) < this.degree_bound
         };
         let chunks = pool.run_worklist(
             worklist,
@@ -680,8 +580,8 @@ fn neighbor_count<V: NeighborView>(
 #[allow(clippy::too_many_arguments)]
 fn square_round<T: PruneView + Sync>(
     view: &mut T,
-    this: &mut Side<'_>,
-    other: &mut Side<'_>,
+    this: &mut Side,
+    other: &mut Side,
     ctx: &FixpointCtx<'_>,
     full: bool,
     carry: Option<&[u32]>,
@@ -719,7 +619,7 @@ fn square_round<T: PruneView + Sync>(
 /// the differential reference.
 fn square_pass<T: PruneView + Sync>(
     view: &mut T,
-    this: &mut Side<'_>,
+    this: &mut Side,
     ctx: &FixpointCtx<'_>,
     worklist: &[u32],
     hubs: Option<&HubSide>,
@@ -732,7 +632,7 @@ fn square_pass<T: PruneView + Sync>(
     match ctx.strategy {
         SquareStrategy::Parallel => {
             let results: Vec<(Vec<u32>, KernelTally)> = {
-                let (view, this): (&T, &Side<'_>) = (view, this);
+                let (view, this): (&T, &Side) = (view, this);
                 ctx.pool.run_worklist(
                     worklist,
                     || this.scratch.lease(),
@@ -742,7 +642,7 @@ fn square_pass<T: PruneView + Sync>(
                         let mut tally = KernelTally::default();
                         for &raw in chunk {
                             let u = UserId(raw);
-                            if !view.user_alive(u) || !this.removable(raw) {
+                            if !view.user_alive(u) {
                                 continue;
                             }
                             let selfq = usize::from(view.user_degree(u) as u32 >= bound);
@@ -776,7 +676,7 @@ fn square_pass<T: PruneView + Sync>(
             let mut removed = 0;
             for (_, raw) in order {
                 let u = UserId(raw);
-                if !view.user_alive(u) || !this.removable(raw) {
+                if !view.user_alive(u) {
                     continue;
                 }
                 stats.kernel_wedge += 1;
@@ -1201,44 +1101,6 @@ mod tests {
         assert_eq!(delta.alive_sets(), full.alive_sets());
         assert_eq!(delta.alive_users(), 2);
         assert_eq!(delta.alive_items(), 2);
-    }
-
-    /// Masks are indexed by vertex id, and a mid-fixpoint compaction changes
-    /// the ids: the translated masks must pin the same vertices. The compact
-    /// view never compacts, so it is the same run with compaction out of
-    /// reach.
-    #[test]
-    fn masked_run_is_the_same_across_a_compaction() {
-        let g = compaction_world();
-        let p = params(2, 1.0);
-        let pool = WorkerPool::new(2);
-        // Pin one 6-cycle user, one 6-cycle item and one filler user.
-        let mut users = vec![true; g.num_users()];
-        let mut items = vec![true; g.num_items()];
-        users[10] = false;
-        users[100] = false;
-        items[11] = false;
-        let removable = Removable {
-            users: Some(&users),
-            items: Some(&items),
-        };
-        let (strategy, mode) = (SquareStrategy::Parallel, FixpointMode::Delta);
-
-        let mut dense = GraphView::full(&g);
-        let stats = extract_masked(&mut dense, removable, &p, &pool, strategy, mode, None);
-        assert!(stats.compactions >= 1, "the dense run must compact");
-
-        let c = ricd_graph::CompactBigraph::from_graph(&g);
-        let mut compact = ricd_graph::CompactView::full(&c);
-        let stats = extract_masked(&mut compact, removable, &p, &pool, strategy, mode, None);
-        assert_eq!(stats.compactions, 0);
-
-        assert_eq!(dense.alive_sets(), compact.alive_sets());
-        assert!(dense.user_alive(UserId(10)) && dense.user_alive(UserId(100)));
-        assert!(dense.item_alive(ItemId(11)));
-        assert!(!dense.user_alive(UserId(11)), "unpinned cycle user dies");
-        assert_eq!(dense.alive_users(), 2 + 2);
-        assert_eq!(dense.alive_items(), 2 + 1);
     }
 
     #[test]

@@ -50,16 +50,15 @@ pub mod pipeline;
 pub mod result;
 pub mod riskview;
 pub mod screen;
-pub mod shard_run;
 pub mod temporal;
 pub mod thresholds;
 
 pub use budget::{BudgetClock, RunBudget};
+pub use detect::{detect_groups_sharded, ShardAbort, ShardConfig};
 pub use params::{ParamsMode, RicdParams, ScreeningMode};
 pub use pipeline::RicdPipeline;
 pub use result::{DetectionResult, RunStatus, SuspiciousGroup};
 pub use riskview::{RiskVerdict, RiskView};
-pub use shard_run::{detect_groups_sharded, ShardAbort, ShardConfig};
 pub use temporal::{
     TimedClick, WindowBatchStats, WindowCheckpoint, WindowConfig, WindowedDetector,
 };
@@ -68,6 +67,7 @@ pub use thresholds::{params_for_mode, FeedbackTuner};
 /// Commonly used framework types.
 pub mod prelude {
     pub use crate::budget::RunBudget;
+    pub use crate::detect::ShardConfig;
     pub use crate::identify::{FeedbackConfig, FeedbackLoop};
     pub use crate::incremental::{BatchStats, Checkpoint, StreamingDetector};
     pub use crate::naive::{naive_detect, NaiveParams};
@@ -75,7 +75,6 @@ pub mod prelude {
     pub use crate::pipeline::RicdPipeline;
     pub use crate::result::{DetectionResult, RunStatus, SuspiciousGroup};
     pub use crate::riskview::{RiskVerdict, RiskView};
-    pub use crate::shard_run::ShardConfig;
     pub use crate::temporal::{WindowCheckpoint, WindowConfig, WindowedDetector};
     pub use crate::thresholds::{derive_t_click, derive_t_hot, params_for_mode, FeedbackTuner};
 }

@@ -8,14 +8,13 @@
 //! produces *a* report.
 
 use crate::budget::{BudgetClock, RunBudget};
-use crate::detect::{detect_groups_with, DetectedGroups, Seeds};
+use crate::detect::{detect_groups_with, Seeds, ShardConfig};
 use crate::extract::{FixpointMode, SquareStrategy};
 use crate::identify::{rank_output, RankedList};
 use crate::naive::{naive_detect, NaiveParams};
 use crate::params::RicdParams;
 use crate::result::{DetectionResult, RunStatus, SuspiciousGroup};
 use crate::screen::screen_groups;
-use crate::shard_run::{detect_groups_sharded, ShardAbort, ShardConfig};
 use ricd_engine::{panic_message, PhaseTimings, WorkerPool};
 use ricd_graph::{BipartiteGraph, ItemId, UserId};
 use ricd_obs::{MetricsRegistry, Span};
@@ -170,6 +169,12 @@ impl RicdPipeline {
         self.run_with(g, &self.params)
     }
 
+    /// [`Self::run`]: batch detection has one path, and the field-less
+    /// [`ShardConfig`] selects nothing.
+    pub fn run_sharded(&self, g: &BipartiteGraph, _cfg: &ShardConfig) -> DetectionResult {
+        self.run(g)
+    }
+
     /// Runs with explicit parameters (the feedback loop reuses the pipeline
     /// with progressively relaxed parameters).
     ///
@@ -181,55 +186,6 @@ impl RicdPipeline {
     /// naive fallback itself panics, that panic propagates — at that point
     /// there is no cheaper detector left to degrade to.
     pub fn run_with(&self, g: &BipartiteGraph, params: &RicdParams) -> DetectionResult {
-        self.run_phases(g, params, |pool, _| {
-            Ok(detect_groups_with(
-                g,
-                &self.seeds,
-                params,
-                pool,
-                self.strategy,
-                self.mode,
-                Some(&self.metrics),
-            ))
-        })
-    }
-
-    /// Runs the pipeline with the detection module executed **sharded**: the
-    /// working graph is split into independent detection units (exact
-    /// connected-component shards, then size-capped hash splits of giant
-    /// components — see [`ricd_graph::shard`]) that run concurrently on the
-    /// worker pool, followed by a reconciliation pass; the merged group set
-    /// is provably identical to [`Self::run`]'s, so screening and
-    /// identification proceed unchanged on the same output.
-    ///
-    /// Everything but Module 1 is [`Self::run_with`]'s code. The shard
-    /// runtime additionally checks the deadline at shard boundaries and
-    /// aborts cleanly instead of finishing a partial (and therefore wrong)
-    /// merge; that, like a shard task failing past the pool's retry budget,
-    /// degrades the run at phase `detect`.
-    pub fn run_sharded(&self, g: &BipartiteGraph, cfg: &ShardConfig) -> DetectionResult {
-        self.run_phases(g, &self.params, |pool, clock| {
-            detect_groups_sharded(
-                g,
-                &self.seeds,
-                &self.params,
-                pool,
-                cfg,
-                &|| clock.deadline_exceeded(),
-                Some(&self.metrics),
-            )
-        })
-    }
-
-    /// The one run path under [`Self::run_with`] and [`Self::run_sharded`]:
-    /// Module 1 is `detect`, everything else — budget clock, phase steps,
-    /// status decision, naive fallback — is shared.
-    fn run_phases(
-        &self,
-        g: &BipartiteGraph,
-        params: &RicdParams,
-        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
-    ) -> DetectionResult {
         let clock = BudgetClock::start(self.budget);
         // Re-attach the pool to this pipeline's registry so per-partition
         // health lands in the same snapshot, whatever the builder order was.
@@ -244,7 +200,7 @@ impl RicdPipeline {
 
         // The run's one status decision, and so its one `degradation`
         // event: the modules were abandoned, or their report was capped.
-        let (degraded, report) = match self.modules(g, params, &pool, &run, detect) {
+        let (degraded, report) = match self.modules(g, params, &pool, &run) {
             Ok((report, capped)) => (
                 capped.map(|reason| Abandoned {
                     reason,
@@ -303,15 +259,19 @@ impl RicdPipeline {
         params: &RicdParams,
         pool: &WorkerPool,
         run: &Run,
-        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
     ) -> Result<(Report, Option<String>), Abandoned> {
         // Module 1: suspicious group detection.
-        let detected = run
-            .phase("detect", || detect(pool, &run.clock))?
-            .map_err(|abort| match abort {
-                ShardAbort::DeadlineExceeded => run.deadline_tripped("detect"),
-                ShardAbort::Engine(e) => Abandoned::panicked("detect", &e.to_string()),
-            })?;
+        let detected = run.phase("detect", || {
+            detect_groups_with(
+                g,
+                &self.seeds,
+                params,
+                pool,
+                self.strategy,
+                self.mode,
+                Some(&self.metrics),
+            )
+        })?;
         let stats = &detected.stats;
         for (name, count) in [
             ("extract.rounds", stats.rounds as u64),
@@ -740,138 +700,25 @@ mod tests {
         assert_eq!(snap.counter("pipeline.runs_degraded"), Some(1));
     }
 
-    #[test]
-    fn sharded_run_matches_unsharded_end_to_end() {
-        let g = scenario();
-        let want = RicdPipeline::new(RicdParams::default()).run(&g);
-        assert_eq!(want.status, RunStatus::Complete);
-        for cfg in [
-            ShardConfig::default(),
-            ShardConfig {
-                shards: None,
-                max_users: Some(4),
-            },
-            ShardConfig {
-                shards: Some(16),
-                max_users: None,
-            },
-        ] {
-            let got = RicdPipeline::new(RicdParams::default()).run_sharded(&g, &cfg);
-            assert_eq!(got.status, RunStatus::Complete, "cfg={cfg:?}");
-            assert_eq!(got.groups, want.groups, "cfg={cfg:?}");
-            assert_eq!(got.ranked_users, want.ranked_users, "cfg={cfg:?}");
-            assert_eq!(got.ranked_items, want.ranked_items, "cfg={cfg:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_run_records_shard_metrics_and_spans() {
-        let registry = MetricsRegistry::new();
-        let r = RicdPipeline::new(RicdParams::default())
-            .with_metrics(registry.clone())
-            .run_sharded(
-                &scenario(),
-                &ShardConfig {
-                    shards: None,
-                    max_users: Some(4),
-                },
-            );
-        assert_eq!(r.status, RunStatus::Complete);
-        let snap = registry.snapshot();
-        for path in ["pipeline", "pipeline/detect", "pipeline/screen"] {
-            assert_eq!(snap.span(path).map(|s| s.count), Some(1), "span {path}");
-        }
-        assert!(snap.counter("shard.planned").unwrap() >= 1);
-        assert!(
-            snap.counter("shard.prefilter_removed_users").unwrap() > 0,
-            "background clickers die in the pre-filter"
-        );
-        assert!(
-            snap.events.is_empty(),
-            "complete sharded run emits no events"
-        );
-    }
-
-    #[test]
-    fn sharded_zero_deadline_degrades_to_naive() {
-        use std::time::Duration;
-        let registry = MetricsRegistry::new();
-        let r = RicdPipeline::new(RicdParams::default())
-            .with_metrics(registry.clone())
-            .with_budget(RunBudget::none().with_deadline(Duration::ZERO))
-            .run_sharded(&scenario(), &ShardConfig::default());
-        match &r.status {
-            RunStatus::Degraded { reason, phase } => {
-                assert_eq!(phase, "detect");
-                assert!(reason.contains("deadline"), "{reason}");
-            }
-            RunStatus::Complete => panic!("zero deadline must degrade"),
-        }
-        assert_eq!(registry.event_count("degradation"), 1);
-        assert!(r.timings.get("naive-fallback").is_some());
-    }
-
-    /// Runs `run_phases` with a stand-in Module 1 (under a generous
-    /// deadline, so a reported trip has a limit to quote) and checks what
-    /// every abandoned `detect` shares: phase, one `degradation` event, the
-    /// fallback's timing. Returns the reason and the event names in order.
-    fn abandoned_at_detect(
-        detect: impl FnOnce(&WorkerPool, &BudgetClock) -> Result<DetectedGroups, ShardAbort>,
-    ) -> (String, Vec<String>) {
-        use std::time::Duration;
-        let registry = MetricsRegistry::new();
-        let pipeline = RicdPipeline::new(RicdParams::default())
-            .with_metrics(registry.clone())
-            .with_budget(RunBudget::none().with_deadline(Duration::from_secs(600)));
-        let r = pipeline.run_phases(&scenario(), &pipeline.params, detect);
-        let RunStatus::Degraded { reason, phase } = r.status else {
-            panic!("a lost Module 1 must degrade the run");
-        };
-        assert_eq!(phase, "detect");
-        assert!(r.timings.get("naive-fallback").is_some());
-        assert!(r.timings.get("screen").is_none(), "screen never ran");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("pipeline.runs_degraded"), Some(1));
-        let events: Vec<String> = snap.events.iter().map(|e| e.name.clone()).collect();
-        let degradations = events.iter().filter(|n| *n == "degradation").count();
-        assert_eq!(degradations, 1, "{events:?}");
-        (reason, events)
-    }
-
-    #[test]
-    fn engine_error_from_module_one_degrades_at_detect() {
-        let (reason, events) = abandoned_at_detect(|_, _| {
-            Err(ShardAbort::Engine(
-                ricd_engine::EngineError::PartitionPanicked {
-                    partition: 3,
-                    attempts: ricd_engine::MAX_PARTITION_ATTEMPTS,
-                    message: "shard task bug".to_string(),
-                },
-            ))
-        });
-        assert!(
-            reason.starts_with("detect phase panicked persistently: partition 3 panicked"),
-            "{reason}"
-        );
-        assert!(reason.contains("shard task bug"), "{reason}");
-        assert_eq!(events, ["degradation"]);
-    }
-
-    #[test]
-    fn deadline_abort_from_module_one_degrades_at_detect() {
-        let (reason, events) = abandoned_at_detect(|_, _| Err(ShardAbort::DeadlineExceeded));
-        assert!(
-            reason.starts_with("deadline of 600s exceeded ("),
-            "{reason}"
-        );
-        assert_eq!(events, ["budget.deadline_exceeded", "degradation"]);
-    }
-
+    /// A Module 1 panic that outlives the pool's retries is contained by
+    /// its phase step and reported as the `detect` phase's abandonment.
     #[test]
     fn panicking_module_one_degrades_at_detect() {
-        let (reason, events) = abandoned_at_detect(|_, _| panic!("module one bug"));
-        assert_eq!(reason, "detect phase panicked persistently: module one bug");
-        assert_eq!(events, ["degradation"]);
+        let registry = MetricsRegistry::new();
+        let run = Run {
+            metrics: &registry,
+            clock: BudgetClock::start(RunBudget::none()),
+            timings: PhaseTimings::new(),
+            root: registry.span("pipeline"),
+        };
+        let Err(abandoned) = run.phase::<()>("detect", || panic!("module one bug")) else {
+            panic!("a panicking phase must be abandoned");
+        };
+        assert_eq!(abandoned.phase, "detect");
+        assert_eq!(
+            abandoned.reason,
+            "detect phase panicked persistently: module one bug"
+        );
     }
 
     #[test]

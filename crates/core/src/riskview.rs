@@ -112,8 +112,9 @@ impl RiskView {
     /// This is the degraded-query surface of the sharded serve tier: when a
     /// shard is down, the router answers from whatever live shard views it
     /// still holds. Halo replication means a group can be detected — in
-    /// full, by the soundness argument in `ricd_graph::shard` — by several
-    /// shards at once, so groups are deduplicated by their exact member
+    /// full, since every shard sees the whole neighborhood of the items its
+    /// users click — by several shards at once, so groups are deduplicated
+    /// by their exact member
     /// sets (users + items); a node flagged by several views keeps the
     /// highest score any of them assigned, and its group index is rewritten
     /// to point into the merged group list. The merge is order-insensitive

@@ -1,6 +1,5 @@
-//! Property tests: degradation accounting. For any input graph, any run
-//! budget and either run (`run` or `run_sharded` — one phase ladder under
-//! both), a degraded run emits exactly one `degradation` event (with a
+//! Property tests: degradation accounting. For any input graph and any run
+//! budget, a degraded run emits exactly one `degradation` event (with a
 //! non-empty reason) and a complete run emits none — the alerting contract
 //! a production deployment would page on.
 
@@ -18,7 +17,6 @@ proptest! {
         clicks in proptest::collection::vec((0u32..40, 0u32..20, 1u32..9), 1..200),
         deadline_sel in 0usize..3,
         cap_sel in 0usize..3,
-        sharded in any::<bool>(),
     ) {
         // The vendored proptest shim has no `prop_oneof`; select budget
         // shapes by index instead.
@@ -42,13 +40,7 @@ proptest! {
         let pipeline = RicdPipeline::new(RicdParams::default())
             .with_budget(budget)
             .with_metrics(registry.clone());
-        let result = if sharded {
-            // A small cap, so the run really plans several shards.
-            let cfg = ShardConfig { shards: None, max_users: Some(8) };
-            pipeline.run_sharded(&g, &cfg)
-        } else {
-            pipeline.run(&g)
-        };
+        let result = pipeline.run(&g);
 
         let snap = registry.snapshot();
         let degradations: Vec<_> = snap

@@ -143,9 +143,9 @@ impl DatasetConfig {
     /// records — one order of magnitude up from the default 1000× world,
     /// with every confounder population (communities, flash items, hunter
     /// rings) scaled ×10 so the big graph keeps the same structural
-    /// *texture*, not just more organic noise. This is the world the
-    /// sharded runtime is benchmarked on: large enough that a giant
-    /// component actually needs hash splitting.
+    /// *texture*, not just more organic noise. This is the world the batch
+    /// benchmark detects on: after the pre-filter its survivors still form
+    /// one hub-glued component of about 15k users.
     pub fn scale100() -> Self {
         Self {
             num_users: 200_000,
@@ -163,9 +163,8 @@ impl DatasetConfig {
     /// [`scale100`](Self::scale100), one tenth of the paper's production
     /// graph. Confounder populations scale ×10 again so the world keeps
     /// the 100× texture (thousands of benign dense blocks, not just more
-    /// long-tail noise). This is the world the compact-CSR sharded runtime
-    /// exists for: it does not fit the dense subgraph-per-shard path
-    /// comfortably.
+    /// long-tail noise). This is the scale at which the dense CSR's memory,
+    /// not the fixpoint's time, becomes the first limit.
     pub fn scale1000() -> Self {
         Self {
             num_users: 2_000_000,

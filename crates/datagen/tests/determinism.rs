@@ -1,8 +1,7 @@
 //! Generation determinism: the synthetic world is a function of its
 //! configuration, nothing else. The same seed must produce *byte-identical*
 //! TSV output — across runs, at every preset. Anything less silently breaks
-//! golden files, benchmark trajectories, and cross-run
-//! shard-vs-unsharded comparisons.
+//! golden files, benchmark trajectories, and cross-run comparisons.
 
 use ricd_datagen::prelude::*;
 use ricd_graph::io::write_tsv;

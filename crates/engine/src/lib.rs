@@ -27,8 +27,8 @@
 //! [`EngineError`]; the infallible forms built on them panic only after the
 //! retry budget is exhausted. The contract itself — contained panics, a
 //! retry on a fresh thread, a last attempt inline on the caller — is stated
-//! once, on [`WorkerPool`], and implemented once, in the scheduler core all
-//! three entry points call. [`fault`] provides the deterministic
+//! once, on [`WorkerPool`], and implemented once, in the scheduler core both
+//! entry points call. [`fault`] provides the deterministic
 //! fault-injection hooks the chaos suite drives this with.
 
 pub mod error;

@@ -89,17 +89,16 @@ impl PoolMetrics {
 /// threads.
 ///
 /// A round is a list of *units* — even ranges of a dense index space
-/// ([`try_run_partitioned`](Self::try_run_partitioned)), small chunks of a
-/// sparse worklist ([`try_run_worklist`](Self::try_run_worklist)) or
-/// coarse tasks ([`try_run_tasks`](Self::try_run_tasks)) — executed in
-/// parallel and joined before returning: the same superstep-with-barrier
+/// ([`try_run_partitioned`](Self::try_run_partitioned)) or small chunks of
+/// a sparse worklist ([`try_run_worklist`](Self::try_run_worklist)) —
+/// executed in parallel and joined before returning: the same superstep-with-barrier
 /// model Grape exposes. Threads are spawned per round; for the round sizes
 /// in this workload (tens of thousands to millions of vertices) spawn cost
 /// is noise, and scoped threads let closures borrow the graph without `Arc`.
 ///
 /// # Fault contract
 ///
-/// All three entry points schedule through one core, so one contract holds
+/// Both entry points schedule through one core, so one contract holds
 /// for every kind of unit. A panic in a unit's closure does not abort the
 /// round or poison the other units: the failed unit is retried on a fresh
 /// thread with fresh worker state, then once more sequentially on the
@@ -351,23 +350,6 @@ impl WorkerPool {
                 &worklist[i * chunk..((i + 1) * chunk).min(worklist.len())],
             )
         })
-    }
-
-    /// Fault-isolated per-task scheduling for *coarse* work units: runs
-    /// `f(i)` once per task `i in 0..n`, returning results in task order,
-    /// under the [fault contract](Self#fault-contract).
-    ///
-    /// [`try_run_worklist`](Self::try_run_worklist) amortizes cursor
-    /// traffic by claiming vertices in chunks of ≥ 64, which serializes a
-    /// round of a few dozen heavy tasks (e.g. graph shards) behind one
-    /// worker. Here each task is its own unit, so a round of `n` expensive
-    /// closures keeps `min(workers, n)` threads busy until the list drains.
-    pub fn try_run_tasks<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, EngineError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_units(n, || (), |_, i| f(i))
     }
 
     /// Computes `f(i)` for every `i in 0..n` into a vector (one superstep).
@@ -774,120 +756,5 @@ mod tests {
         let mid = worklist_chunk_size(100_000, 4);
         assert!((64..=8192).contains(&mid));
         assert_eq!(mid, 100_000 / 64);
-    }
-
-    #[test]
-    fn tasks_run_each_index_once_in_order() {
-        for workers in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let got = pool.try_run_tasks(37, |i| i * 7).unwrap();
-            assert_eq!(got, (0..37).map(|i| i * 7).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn tasks_empty_is_noop() {
-        let pool = WorkerPool::new(4);
-        let got: Vec<u8> = pool.try_run_tasks(0, |_| 1).unwrap();
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn few_coarse_tasks_use_multiple_workers() {
-        // The point of try_run_tasks over run_worklist: 6 tasks must not all be
-        // claimed by one worker (the worklist path's 64-entry chunk floor
-        // would put them in a single chunk).
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let pool = WorkerPool::new(4);
-        let seen = Mutex::new(HashSet::new());
-        let barrier = std::sync::Barrier::new(4);
-        let _ = pool.try_run_tasks(6, |i| {
-            if i < 4 {
-                // The first four tasks rendezvous: they can only all arrive
-                // if four distinct workers each claimed one.
-                barrier.wait();
-            }
-            seen.lock().unwrap().insert(std::thread::current().id());
-            i
-        });
-        assert!(
-            seen.lock().unwrap().len() >= 4,
-            "coarse tasks must spread across workers"
-        );
-    }
-
-    #[test]
-    fn tasks_transient_panic_recovers() {
-        let pool = WorkerPool::new(4);
-        let blown = AtomicUsize::new(0);
-        let got = pool
-            .try_run_tasks(10, |i| {
-                if i == 3 && blown.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("injected transient fault");
-                }
-                i * 2
-            })
-            .expect("transient fault must be absorbed");
-        assert_eq!(got, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(blown.load(Ordering::SeqCst), 2, "one fault + one retry");
-    }
-
-    #[test]
-    fn tasks_persistent_panic_yields_typed_error() {
-        let pool = WorkerPool::new(4);
-        let err = pool
-            .try_run_tasks(10, |i| {
-                if i == 5 {
-                    panic!("deterministic task bug");
-                }
-                i
-            })
-            .unwrap_err();
-        match err {
-            crate::EngineError::PartitionPanicked {
-                partition,
-                attempts,
-                message,
-            } => {
-                assert_eq!(partition, 5);
-                assert_eq!(attempts, MAX_PARTITION_ATTEMPTS);
-                assert!(message.contains("deterministic task bug"), "{message}");
-            }
-        }
-    }
-
-    #[test]
-    fn tasks_metrics_count_tasks_as_partitions() {
-        let registry = ricd_obs::MetricsRegistry::new();
-        let pool = WorkerPool::new(4).with_metrics(&registry);
-        let blown = AtomicUsize::new(0);
-        pool.try_run_tasks(8, |i| {
-            if i == 2 && blown.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("flaky task");
-            }
-            i
-        })
-        .expect("transient fault absorbed");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("pool.partitions_started"), Some(8));
-        assert_eq!(snap.counter("pool.panics_caught"), Some(1));
-        assert_eq!(snap.counter("pool.retries"), Some(1));
-        assert_eq!(snap.counter("pool.partitions_failed"), Some(0));
-        let (_, h) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "pool.partition_nanos")
-            .expect("partition histogram registered");
-        assert_eq!(h.count, 9, "8 initial attempts + 1 retry");
-    }
-
-    #[test]
-    fn tasks_results_independent_of_worker_count() {
-        let run = |w| WorkerPool::new(w).try_run_tasks(23, |i| i.wrapping_mul(13));
-        let seq: Vec<usize> = run(1).unwrap();
-        for w in [2, 3, 8] {
-            assert_eq!(run(w).unwrap(), seq);
-        }
     }
 }

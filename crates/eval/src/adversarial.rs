@@ -49,7 +49,7 @@ pub struct AdversarialConfig {
     /// Master seed; every cell derives its own stream from it.
     pub seed: u64,
     /// Fixed worker-pool width, `None` = host default. Detection output is
-    /// pool-width independent (the shard-equivalence suites), so this only
+    /// pool-width independent (the end-to-end worker matrix), so this only
     /// affects wall clock.
     pub workers: Option<usize>,
     /// Simulation horizon for timestamped plans.

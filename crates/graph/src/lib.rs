@@ -16,17 +16,13 @@
 //!   degree tracking; the paper's `CorePruning` / `SquarePruning`
 //!   (Algorithm 3) repeatedly remove vertices, and a view makes each removal
 //!   O(degree) without rebuilding the CSR.
-//! * [`compact`] — the shard-local compact CSR: delta-encoded sorted
-//!   adjacency plus alive bitmaps ([`CompactBigraph`] / [`CompactView`]),
-//!   byte-for-byte cheaper than the dense pair at paper scale and proven
-//!   equivalent by differential proptests.
+//! * [`compact`] — the delta-encoded compact CSR ([`CompactBigraph`]),
+//!   which measures how far varint gap coding shrinks the dense adjacency
+//!   at paper scale.
 //! * [`twohop`] — wedge-based common-neighbor counting, the workhorse of
 //!   `SquarePruning` and of the Common-Neighbors baseline.
 //! * [`components`] — connected components over a view; each surviving
 //!   component is one suspicious attack group `gᵢ`.
-//! * [`shard`] — splits a pruned view into independent detection units
-//!   (exact component shards + hash-split giants with boundary
-//!   replication) for the sharded runtime.
 //! * [`stats`] — the Table I / Table II dataset statistics and the Fig 2
 //!   click-distribution series.
 //! * [`io`] — TSV and serde import/export of click tables.
@@ -52,19 +48,17 @@ pub mod frontier;
 pub mod graph;
 pub mod ids;
 pub mod io;
-pub mod shard;
 pub mod stats;
 pub mod subgraph;
 pub mod twohop;
 pub mod view;
 
 pub use builder::GraphBuilder;
-pub use compact::{AliveBitmap, CompactBigraph, CompactSubgraph, CompactView, DeltaAdjacency};
+pub use compact::{CompactBigraph, DeltaAdjacency};
 pub use components::{connected_components, Component};
 pub use frontier::FrontierScratch;
 pub use graph::BipartiteGraph;
 pub use ids::{ItemId, NodeId, UserId};
-pub use shard::{plan_shards, user_shard, Shard, ShardOptions, ShardPlan, ShardPlanStats};
 pub use stats::{ClickDistribution, DatasetScale, SideStats};
 pub use subgraph::InducedSubgraph;
 pub use twohop::{CommonNeighborScratch, HubBitmaps, KernelScratch};

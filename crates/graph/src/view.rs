@@ -17,13 +17,11 @@ use std::ops::{Deref, DerefMut};
 /// alive-filtered **ascending** neighbor iteration.
 ///
 /// Implemented by [`GraphView`] (dense tombstones over the weighted CSR)
-/// and [`crate::compact::CompactView`] (alive bitmaps over the
-/// delta-encoded compact CSR), so shard-local pruning runs unchanged on
-/// either representation — and the differential suites can assert the two
-/// agree. Iterating a *dead* anchor still yields its alive neighbors, which
-/// is what the `frontier` derivations walk. Methods take `impl FnMut` closures rather than returning
-/// iterators so implementations stay monomorphized (no boxing on the hot
-/// path); the trait is deliberately not object-safe.
+/// and by [`Transposed`], which exchanges its two sides. Iterating a *dead*
+/// anchor still yields its alive neighbors, which is what the `frontier`
+/// derivations walk. Methods take `impl FnMut` closures rather than
+/// returning iterators so implementations stay monomorphized (no boxing on
+/// the hot path); the trait is deliberately not object-safe.
 pub trait NeighborView {
     /// Total user vertices (alive or dead).
     fn num_users(&self) -> usize;
@@ -64,10 +62,9 @@ pub trait NeighborView {
 }
 
 /// What the pruning fixpoint of `ricd-core` needs on top of
-/// [`NeighborView`]: removals and alive counts. Both views implement it, so
-/// the one fixpoint runs on either representation — unsharded detection and
-/// reconciliation on a [`GraphView`], shard-local pruning on a
-/// [`crate::compact::CompactView`].
+/// [`NeighborView`]: removals and alive counts. The fixpoint is written for
+/// the user side of a `PruneView` and runs the item side on its
+/// [`Transposed`] view, so both implement it.
 pub trait PruneView: NeighborView {
     /// Number of alive users.
     fn alive_users(&self) -> usize;

@@ -1,205 +1,12 @@
-//! Differential property tests for the compact CSR (`ricd_graph::compact`).
-//!
-//! The compact representation — varint delta-encoded sorted adjacency plus
-//! alive bitmaps — replaces the dense `BipartiteGraph`/`GraphView` pair on
-//! the shard-local pruning path, so any divergence between the two is a
-//! detection-output bug. These properties drive both representations
-//! through identical construction + removal sequences and assert they
-//! agree on everything the pruning fixpoint observes: alive sets, live
-//! degrees, and alive-filtered ascending adjacency iteration.
+//! Property tests for the compact CSR (`ricd_graph::compact`): the varint
+//! delta coding round-trips any strictly-increasing adjacency list and
+//! rejects anything else, and the encoding undercuts the dense layout it
+//! is measured against.
 
 use proptest::prelude::*;
-use ricd_graph::{
-    CompactBigraph, CompactSubgraph, CompactView, DeltaAdjacency, GraphBuilder, GraphView,
-    InducedSubgraph, ItemId, NeighborView, UserId,
-};
-
-/// Random click records over id spaces that straddle the 64-bit bitmap
-/// word boundary on both sides (users up to ~2 words, items ~1 word).
-fn records() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
-    proptest::collection::vec((0u32..130, 0u32..70, 1u32..20), 0..300)
-}
-
-/// Interleaved removal sequence: `(is_user, id)` pairs, including ids that
-/// may repeat (removals must be idempotent on both representations).
-fn removals() -> impl Strategy<Value = Vec<(bool, u32)>> {
-    proptest::collection::vec((any::<bool>(), 0u32..130), 0..120)
-}
-
-/// Builds a world whose vertex-count floors force empty-adjacency vertices
-/// (reserved ids above every clicked id) and exact word-boundary sizes.
-fn build(records: &[(u32, u32, u32)], reserve: (usize, usize)) -> ricd_graph::BipartiteGraph {
-    let mut b = GraphBuilder::new();
-    b.reserve_users(reserve.0);
-    b.reserve_items(reserve.1);
-    for &(u, v, c) in records {
-        b.add_click(UserId(u), ItemId(v), c);
-    }
-    b.build()
-}
-
-/// Asserts both views agree on every observable the pruning path reads.
-fn assert_views_agree(dense: &GraphView<'_>, compact: &CompactView<'_>) {
-    assert_eq!(
-        compact.alive_users(),
-        dense.alive_users(),
-        "alive user count"
-    );
-    assert_eq!(
-        compact.alive_items(),
-        dense.alive_items(),
-        "alive item count"
-    );
-    let num_users = NeighborView::num_users(dense);
-    let num_items = NeighborView::num_items(dense);
-    assert_eq!(NeighborView::num_users(compact), num_users);
-    assert_eq!(NeighborView::num_items(compact), num_items);
-    for u in (0..num_users as u32).map(UserId) {
-        assert_eq!(
-            NeighborView::user_alive(compact, u),
-            NeighborView::user_alive(dense, u),
-            "user {u} alive"
-        );
-        assert_eq!(
-            NeighborView::user_degree(compact, u),
-            NeighborView::user_degree(dense, u),
-            "user {u} degree"
-        );
-        let mut dense_adj = Vec::new();
-        NeighborView::for_each_user_neighbor(dense, u, |v| dense_adj.push(v));
-        let mut compact_adj = Vec::new();
-        NeighborView::for_each_user_neighbor(compact, u, |v| compact_adj.push(v));
-        assert_eq!(compact_adj, dense_adj, "user {u} adjacency");
-        let mut sorted = dense_adj.clone();
-        sorted.sort_unstable();
-        assert_eq!(dense_adj, sorted, "user {u} adjacency must be ascending");
-    }
-    for v in (0..num_items as u32).map(ItemId) {
-        assert_eq!(
-            NeighborView::item_alive(compact, v),
-            NeighborView::item_alive(dense, v),
-            "item {v} alive"
-        );
-        assert_eq!(
-            NeighborView::item_degree(compact, v),
-            NeighborView::item_degree(dense, v),
-            "item {v} degree"
-        );
-        let mut dense_adj = Vec::new();
-        NeighborView::for_each_item_neighbor(dense, v, |u| dense_adj.push(u));
-        let mut compact_adj = Vec::new();
-        NeighborView::for_each_item_neighbor(compact, v, |u| compact_adj.push(u));
-        assert_eq!(compact_adj, dense_adj, "item {v} adjacency");
-    }
-    // The alive iterators drive component discovery; they must agree too.
-    let (du, di) = dense.alive_sets();
-    let (cu, ci) = compact.alive_sets();
-    assert_eq!(cu, du, "alive user sets");
-    assert_eq!(ci, di, "alive item sets");
-}
+use ricd_graph::{CompactBigraph, DeltaAdjacency, GraphBuilder, ItemId, UserId};
 
 proptest! {
-    /// After any interleaved removal sequence (with repeats), the compact
-    /// view agrees with the dense view on alive sets, degrees, and
-    /// ascending alive-filtered adjacency — for worlds spanning bitmap
-    /// word boundaries and containing empty-adjacency vertices.
-    #[test]
-    fn compact_view_tracks_graph_view(recs in records(),
-                                      kills in removals(),
-                                      reserve_users in 0usize..130,
-                                      reserve_items in 0usize..70) {
-        let g = build(&recs, (reserve_users, reserve_items));
-        let c = CompactBigraph::from_graph(&g);
-        let mut dense = GraphView::full(&g);
-        let mut compact = CompactView::full(&c);
-        assert_views_agree(&dense, &compact);
-        for (i, &(is_user, id)) in kills.iter().enumerate() {
-            if is_user {
-                if (id as usize) < g.num_users() {
-                    dense.remove_user(UserId(id));
-                    compact.remove_user(UserId(id));
-                }
-            } else if (id as usize) < g.num_items() {
-                dense.remove_item(ItemId(id));
-                compact.remove_item(ItemId(id));
-            }
-            // Spot-check mid-sequence every few removals, full check at end.
-            if i % 16 == 0 {
-                prop_assert_eq!(compact.alive_users(), dense.alive_users());
-                prop_assert_eq!(compact.alive_items(), dense.alive_items());
-            }
-        }
-        assert_views_agree(&dense, &compact);
-        prop_assert!(compact.check_consistency());
-        prop_assert!(dense.check_consistency());
-    }
-
-    /// Word-boundary worlds: exactly n*64±1 vertices, everything removed
-    /// then the boundary vertex probed — the off-by-one regime for the
-    /// packed bitmap.
-    #[test]
-    fn bitmap_word_boundary_worlds(extra in 0usize..3, kill_all in any::<bool>()) {
-        for base in [63usize, 64, 65, 127, 128] {
-            let n = base + extra;
-            let mut b = GraphBuilder::new();
-            b.reserve_users(n);
-            b.reserve_items(n);
-            // One diagonal edge per vertex pair so degrees are 1.
-            for i in 0..n as u32 {
-                b.add_click(UserId(i), ItemId(i), 1);
-            }
-            let g = b.build();
-            let c = CompactBigraph::from_graph(&g);
-            let mut dense = GraphView::full(&g);
-            let mut compact = CompactView::full(&c);
-            if kill_all {
-                for i in 0..n as u32 {
-                    dense.remove_user(UserId(i));
-                    compact.remove_user(UserId(i));
-                }
-            } else {
-                // Kill only the word-boundary stragglers.
-                for i in [0usize, 62, 63, 64, n - 1] {
-                    if i < n {
-                        dense.remove_user(UserId(i as u32));
-                        compact.remove_user(UserId(i as u32));
-                    }
-                }
-            }
-            assert_views_agree(&dense, &compact);
-        }
-    }
-
-    /// The compact induced subgraph agrees with the dense one: same vertex
-    /// maps and the same local adjacency, for arbitrary (duplicated,
-    /// unsorted) scope sets.
-    #[test]
-    fn compact_subgraph_matches_induced_subgraph(
-        recs in records(),
-        users in proptest::collection::vec(0u32..130, 0..80),
-        items in proptest::collection::vec(0u32..70, 0..50),
-    ) {
-        let g = build(&recs, (0, 0));
-        let users: Vec<UserId> = users.into_iter()
-            .filter(|&u| (u as usize) < g.num_users()).map(UserId).collect();
-        let items: Vec<ItemId> = items.into_iter()
-            .filter(|&v| (v as usize) < g.num_items()).map(ItemId).collect();
-        let dense = InducedSubgraph::extract(&g, users.iter().copied(), items.iter().copied());
-        let compact = CompactSubgraph::extract(&g, users.iter().copied(), items.iter().copied());
-        prop_assert_eq!(&compact.user_map, &dense.user_map);
-        prop_assert_eq!(&compact.item_map, &dense.item_map);
-        for lu in (0..dense.graph.num_users() as u32).map(UserId) {
-            let mut got = Vec::new();
-            compact.graph.for_each_user_neighbor(lu, |v| got.push(v));
-            prop_assert_eq!(got, dense.graph.user_adjacency(lu).to_vec());
-        }
-        for lv in (0..dense.graph.num_items() as u32).map(ItemId) {
-            let mut got = Vec::new();
-            compact.graph.for_each_item_neighbor(lv, |u| got.push(u));
-            prop_assert_eq!(got, dense.graph.item_adjacency(lv).to_vec());
-        }
-    }
-
     /// Delta round-trip: encoding arbitrary strictly-increasing lists and
     /// decoding them is the identity; non-sorted input is rejected.
     #[test]
@@ -227,31 +34,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Degenerate world: every vertex has empty adjacency (pure reservations).
-/// Both representations must agree that everything is alive with degree 0,
-/// and removals still mirror.
-#[test]
-fn all_isolated_vertices_agree() {
-    let mut b = GraphBuilder::new();
-    b.reserve_users(129);
-    b.reserve_items(65);
-    let g = b.build();
-    let c = CompactBigraph::from_graph(&g);
-    let mut dense = GraphView::full(&g);
-    let mut compact = CompactView::full(&c);
-    assert_views_agree(&dense, &compact);
-    for u in [0u32, 64, 128] {
-        dense.remove_user(UserId(u));
-        compact.remove_user(UserId(u));
-    }
-    for v in [0u32, 63, 64] {
-        dense.remove_item(ItemId(v));
-        compact.remove_item(ItemId(v));
-    }
-    assert_views_agree(&dense, &compact);
-    assert!(compact.check_consistency());
 }
 
 /// The compact encoding must actually be smaller than the dense layout it

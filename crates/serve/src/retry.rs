@@ -3,7 +3,7 @@
 //! serve tier shares: client-side ingest retries, the supervisor's shard
 //! restart delays, and the router's coordinated-checkpoint waits.
 //!
-//! Jitter is seeded (SplitMix64, the same mixer the shard planner hashes
+//! Jitter is seeded (SplitMix64, the same mixer the router hashes users
 //! with) rather than sampled from the OS so a failing run replays exactly:
 //! two processes given the same seed sleep the same schedule. Each sleep
 //! draws from `[backoff/2, backoff)` — half deterministic floor, half
@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 /// SplitMix64 — stable across platforms, one step per draw.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

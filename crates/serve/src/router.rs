@@ -1,25 +1,23 @@
 //! The multi-shard router: fans routed ingest to N supervised shard
 //! workers and merges their views for queries.
 //!
-//! **Partition + halo.** Users are hash-partitioned with the *same*
-//! SplitMix64 assignment the offline shard planner uses
-//! ([`ricd_graph::user_shard`]). Pure user partitioning would split an
+//! **Partition + halo.** Users are hash-partitioned by a seeded SplitMix64
+//! of their id (`user_shard`). Pure user partitioning would split an
 //! attack group whose workers hash to different shards below the `k₁`
-//! floor, so the router mirrors the planner's boundary-item replication
-//! online: it keeps every item's cumulative per-user click counts and the
-//! set of shards *interested* in the item (shards owning at least one of
-//! its clickers). The first time a shard gains interest in an item, the
-//! item's aggregated history is backfilled into that shard's sub-batch;
-//! from then on every click on the item fans out to all interested
-//! shards. Aggregation is lossless for the detector — the graph builder
-//! merges duplicate `(user, item)` pairs by summing clicks, so one
-//! backfilled record per clicker reproduces the exact neighborhood — and
-//! it bounds the routing table at O(distinct `(user, item)` pairs) rather
-//! than O(total clicks). Each shard therefore sees the complete
-//! neighborhood of every item its users touch — the planner's soundness
-//! argument carries over, and any group containing a shard's user is
-//! detected *in full* by that shard. Queries merge per-shard views with
-//! [`RiskView::merged`], which deduplicates the halo-replicated groups.
+//! floor, so the router replicates boundary items: it keeps every item's
+//! cumulative per-user click counts and the set of shards *interested* in
+//! the item (shards owning at least one of its clickers). The first time a
+//! shard gains interest in an item, the item's aggregated history is
+//! backfilled into that shard's sub-batch; from then on every click on the
+//! item fans out to all interested shards. Aggregation is lossless for the
+//! detector — the graph builder merges duplicate `(user, item)` pairs by
+//! summing clicks, so one backfilled record per clicker reproduces the
+//! exact neighborhood — and it bounds the routing table at O(distinct
+//! `(user, item)` pairs) rather than O(total clicks). Each shard therefore
+//! sees the complete neighborhood of every item its users touch, and any
+//! group containing a shard's user is detected *in full* by that shard.
+//! Queries merge per-shard views with [`RiskView::merged`], which
+//! deduplicates the halo-replicated groups.
 //!
 //! **Zero accepted-batch loss.** An accepted batch's sub-batches are
 //! appended to per-shard replay logs *before* the accept reply is
@@ -44,6 +42,7 @@
 //! regresses) below quorum.
 
 use crate::manifest::{Manifest, ManifestEntry, MANIFEST_VERSION};
+use crate::retry::splitmix64;
 use crate::state::{ServeConfig, ServeMetrics, ServeSnapshot};
 use crate::supervisor::{
     ShardHealth, ShardSlot, ShardStateFactory, Supervisor, SupervisorConfig, SupervisorMetrics,
@@ -52,7 +51,7 @@ use crate::wire::{Request, Response, ShardStatus};
 use ricd_core::riskview::RiskView;
 use ricd_core::RicdParams;
 use ricd_engine::{ServeFaultInjector, ServeFaultPlan};
-use ricd_graph::{user_shard, ItemId, UserId};
+use ricd_graph::{ItemId, UserId};
 use ricd_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -60,6 +59,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The default user-hash seed. A coordinated checkpoint's `manifest.json`
+/// records the seed it was routed with, so changing this (or
+/// [`user_shard`]) would misroute records replayed after a resume.
+pub(crate) const DEFAULT_HASH_SEED: u64 = 0x5eed_5a4d;
+
+/// The shard owning user `u` among `shards`: SplitMix64 of the id xor the
+/// seed — stable across platforms and processes, unlike the std hasher.
+pub(crate) fn user_shard(u: UserId, hash_seed: u64, shards: usize) -> usize {
+    let mut state = u64::from(u.0) ^ hash_seed;
+    (splitmix64(&mut state) % shards.max(1) as u64) as usize
+}
 
 /// Routed-runtime configuration.
 #[derive(Clone, Debug)]
@@ -76,7 +87,7 @@ pub struct RouterConfig {
     /// Max *unprocessed* batches buffered per shard before the router
     /// answers `Rejected` (explicit backpressure, incl. for down shards).
     pub buffer_per_shard: usize,
-    /// User-hash seed (defaults to the shard planner's).
+    /// User-hash seed (defaults to `DEFAULT_HASH_SEED`).
     pub hash_seed: u64,
     /// Supervision knobs (probe cadence, stall budget, restart backoff).
     pub supervisor: SupervisorConfig,
@@ -99,7 +110,7 @@ impl Default for RouterConfig {
             serve: ServeConfig::default(),
             workers_per_shard: 1,
             buffer_per_shard: 64,
-            hash_seed: ricd_graph::shard::DEFAULT_HASH_SEED,
+            hash_seed: DEFAULT_HASH_SEED,
             supervisor: SupervisorConfig::default(),
             checkpoint_dir: None,
             checkpoint_every_batches: 32,
@@ -737,5 +748,33 @@ impl Router {
         }
         self.epoch.store(manifest.epoch, Ordering::SeqCst);
         Ok(initial)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `manifest.json` stores the hash seed, not the hash: a resumed router
+    /// must send every user to the shard it was routed to before.
+    #[test]
+    fn user_shard_assignment_is_pinned() {
+        let seed = DEFAULT_HASH_SEED;
+        for (u, shards, owner) in [
+            (0, 2, 0),
+            (0, 4, 2),
+            (2, 2, 1),
+            (2, 4, 3),
+            (3, 4, 1),
+            (42, 4, 2),
+            (1000, 2, 0),
+            (u32::MAX, 4, 1),
+        ] {
+            assert_eq!(
+                user_shard(UserId(u), seed, shards),
+                owner,
+                "user {u} of {shards}"
+            );
+        }
     }
 }

@@ -87,7 +87,6 @@ USAGE:
                   [--k1 <N>] [--k2 <N>] [--alpha <F>]
                   [--t-hot <N>] [--t-click <N>]
                   [--seed-user <id>]... [--seed-item <id>]...
-                  [--shards <N>] [--shard-max-users <N>]
                   [--lossy] [--deadline-ms <N>] [--max-groups <N>]
                   [--metrics-out <m.json>] [--metrics-count-only] [--trace]
     ricd eval     --input <clicks.tsv> --truth <truth.json> [--method <NAME>]
@@ -133,15 +132,6 @@ FAULT TOLERANCE:
     --deadline-ms N  wall-clock budget; past it the run degrades to the
                      naive detector and warns instead of failing
     --max-groups N   cap the report at the N largest groups
-
-SHARDING:
-    --shards N           run detection sharded: split the pre-filtered
-                         graph into ~N independent units (connected
-                         components, hash-splitting any giant) and prune
-                         them concurrently; output is identical to the
-                         unsharded run
-    --shard-max-users N  shard by an explicit per-shard user cap instead
-                         of a target count (overrides --shards)
 
 OBSERVABILITY:
     --metrics-out F        write the run's metrics snapshot (counters,
@@ -233,7 +223,7 @@ mod tables {
     pub const STATS: FlagTable = FlagTable { value: &["--input"], bare: &["--lossy"], ..NONE };
     pub const DETECT: FlagTable = FlagTable {
         value: &["--input", "--output", "--k1", "--k2", "--alpha", "--t-hot", "--t-click",
-                 "--shards", "--shard-max-users", "--deadline-ms", "--max-groups", "--metrics-out"],
+                 "--deadline-ms", "--max-groups", "--metrics-out"],
         bare: &["--lossy", "--metrics-count-only", "--trace"],
         repeatable: &["--seed-user", "--seed-item"],
     };
@@ -566,12 +556,6 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
             .collect(),
     };
 
-    let shard_cfg = {
-        let shards = flags.parse("--shards")?;
-        let max_users = flags.parse("--shard-max-users")?;
-        (shards.is_some() || max_users.is_some()).then_some(ShardConfig { shards, max_users })
-    };
-
     let g = load_graph(input, flags.has("--lossy"), Some(&registry))?;
     // The one flag that can only be checked against the loaded graph.
     let seed_in_graph = |flag: &str, side: &str, id: u32, n: usize| {
@@ -592,10 +576,7 @@ fn cmd_detect(args: &[String]) -> Result<(), CliError> {
         .with_seeds(seeds)
         .with_budget(budget)
         .with_metrics(registry.clone());
-    let result = match &shard_cfg {
-        Some(cfg) => pipeline.run_sharded(&g, cfg),
-        None => pipeline.run(&g),
-    };
+    let result = pipeline.run(&g);
     if let RunStatus::Degraded { reason, phase } = &result.status {
         eprintln!("warning: degraded run (phase `{phase}`): {reason}");
     }

@@ -403,15 +403,10 @@ fn detect_accepts_custom_parameters() {
     assert!(!out.status.success());
     // A seed id the graph does not have is a usage error naming the flag
     // and the graph's size — not a panic reported as a degraded run.
-    for (flag, extra) in [
-        ("--seed-user", &[][..]),
-        ("--seed-item", &[][..]),
-        ("--seed-user", &["--shards", "2"][..]),
-    ] {
+    for flag in ["--seed-user", "--seed-item"] {
         let out = ricd()
             .args(["detect", "--input", clicks.to_str().unwrap()])
             .args([flag, "999999999"])
-            .args(extra)
             .output()
             .unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
@@ -538,6 +533,11 @@ fn flags_a_command_does_not_take_exit_2_naming_the_flag() {
             &["detect", input[0], input[1], "--window", "5"],
             "unknown flag `--window` for `ricd detect`",
             "a `stream` flag on `detect`",
+        ),
+        (
+            &["detect", input[0], input[1], "--shards", "2"],
+            "unknown flag `--shards` for `ricd detect`",
+            "batch detection has one path; only `serve` shards",
         ),
         (
             &["stats", "--input", "--lossy"],

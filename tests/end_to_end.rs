@@ -186,3 +186,42 @@ fn feedback_loop_recovers_a_subtle_attack() {
         params_used
     );
 }
+
+/// The worker matrix: one world detected on 1, 2 and 4 pool workers must
+/// be *byte-identical* — not just set-equal — in groups, risk scores and
+/// both rankings. Serialized JSON is the comparison so any float
+/// formatting or ordering drift fails loudly. `run_sharded` is `run` under
+/// another name, so it must render the same bytes too.
+#[test]
+fn worker_matrix_is_byte_identical() {
+    let attack = AttackConfig {
+        num_groups: 6,
+        target_coverage: 0.9,
+        ..AttackConfig::evaluation()
+    };
+    let ds = generate(&DatasetConfig::small(), &attack).expect("valid configs");
+    let render = |r: &DetectionResult| {
+        (
+            serde_json::to_string(&r.groups).unwrap(),
+            serde_json::to_string(&r.ranked_users).unwrap(),
+            serde_json::to_string(&r.ranked_items).unwrap(),
+            serde_json::to_string(&r.status).unwrap(),
+        )
+    };
+    let pipeline = |workers| {
+        RicdPipeline::new(RicdParams::default())
+            .with_pool(fake_click_detection::engine::WorkerPool::new(workers))
+    };
+    let baseline = pipeline(1).run(&ds.graph);
+    assert!(!baseline.groups.is_empty(), "no groups detected");
+    let baseline = render(&baseline);
+    for workers in [2usize, 4] {
+        assert_eq!(
+            render(&pipeline(workers).run(&ds.graph)),
+            baseline,
+            "groups / ranked_users / ranked_items bytes diverged at workers={workers}"
+        );
+    }
+    let sharded = pipeline(2).run_sharded(&ds.graph, &ShardConfig::default());
+    assert_eq!(render(&sharded), baseline, "run_sharded diverged from run");
+}
