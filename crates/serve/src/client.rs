@@ -47,9 +47,9 @@ pub struct RiskReport {
     pub items: Vec<(ItemId, RiskVerdict)>,
     /// Detected groups in the view.
     pub groups: usize,
-    /// `true` when the answer is partial (some shard was not `Up`).
+    /// `true` when no replica was `Up` (see [`Response::Risk`]).
     pub degraded: bool,
-    /// Shards whose state is missing from this answer entirely.
+    /// Replicas that were `Down`.
     pub missing_shards: Vec<u32>,
 }
 
@@ -60,7 +60,7 @@ pub struct Recommendation {
     pub epoch: u64,
     /// Ranked `(item, score)` pairs.
     pub items: Vec<(ItemId, f32)>,
-    /// `true` when the owning shard was not fully `Up`.
+    /// `true` when no replica was `Up`.
     pub degraded: bool,
 }
 

@@ -22,15 +22,14 @@
 //! * **Checkpoint/resume**: a checkpoint request serializes after every
 //!   previously accepted batch and reuses the [`Checkpoint`] crash-recovery
 //!   format, so a restarted server resumes the stream where it left off.
-//! * **Supervised multi-shard tier** ([`start_router`]): a routing
-//!   front-end fans ingest out to N supervised shard workers
-//!   (user-hash partitioned with halo-replicated item histories), keeps a
-//!   replay log per shard so a crashed worker restarts from its last
-//!   coordinated checkpoint with **zero accepted-batch loss**, probes
-//!   health on a cadence ([`supervisor`]), serves *degraded* partial
-//!   answers while shards are down, and commits coordinated
-//!   `manifest.json` checkpoints ([`manifest`]) a whole process can
-//!   resume from.
+//! * **N supervised replicas** ([`start_router`]): a routing front-end
+//!   fans every batch out to N supervised replicas, each a full
+//!   [`ServeState`], keeps a replay log per replica so a crashed worker
+//!   restarts from its last coordinated checkpoint with **zero
+//!   accepted-batch loss**, probes health on a cadence ([`supervisor`]),
+//!   answers queries from the freshest `Up` replica (*degraded* only when
+//!   none is `Up`), and commits coordinated `manifest.json` checkpoints
+//!   ([`manifest`]) a whole process can resume from.
 //!
 //! Everything is std-only (threads + `TcpListener`); the protocol is
 //! length-prefixed JSON ([`wire`]).

@@ -16,8 +16,10 @@ use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Current manifest format version. Version 1 manifests named the
+/// user-hash partitioned slices of a sharded router; seeding replicas with
+/// them would make the replicas disagree, so they are refused.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The manifest file's name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -41,12 +43,9 @@ pub struct ManifestEntry {
 pub struct Manifest {
     /// Format version ([`MANIFEST_VERSION`]).
     pub version: u32,
-    /// Shard count the topology was running with. A manifest can only
-    /// resume a topology of the same width — the user-hash partition is
-    /// a function of this.
+    /// Replica count the topology was running with. A manifest only
+    /// resumes a topology of the same width: each entry seeds one replica.
     pub shards: u32,
-    /// The user-hash seed the router partitioned with.
-    pub hash_seed: u64,
     /// The quorum epoch watermark at the barrier.
     pub epoch: u64,
     /// The router's next expected **global** batch sequence at the
@@ -185,7 +184,6 @@ mod tests {
         let m = Manifest {
             version: MANIFEST_VERSION,
             shards: 2,
-            hash_seed: 0x5eed_5a4d,
             epoch: 7,
             next_global_seq: 11,
             entries: vec![
@@ -220,7 +218,6 @@ mod tests {
         let m = Manifest {
             version: MANIFEST_VERSION,
             shards: 0,
-            hash_seed: 1,
             epoch: 0,
             next_global_seq: 0,
             entries: vec![],
@@ -240,7 +237,6 @@ mod tests {
         let mut m = Manifest {
             version: MANIFEST_VERSION,
             shards: 2,
-            hash_seed: 1,
             epoch: 0,
             next_global_seq: 0,
             entries: vec![ManifestEntry {
@@ -268,5 +264,22 @@ mod tests {
         }
         m.version = 99;
         assert!(m.validate().is_err(), "unknown version");
+    }
+
+    #[test]
+    fn version_one_manifest_is_refused() {
+        let dir = temp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        std::fs::write(
+            &path,
+            r#"{"version":1,"shards":1,"hash_seed":1592613453,"epoch":0,"next_global_seq":0,
+            "entries":[{"shard":0,"file":"shard-0.ckpt.json","next_seq":0,"epoch":0}]}"#,
+        )
+        .unwrap();
+        let err = Manifest::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

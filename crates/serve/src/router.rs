@@ -1,48 +1,36 @@
-//! The multi-shard router: fans routed ingest to N supervised shard
-//! workers and merges their views for queries.
+//! The replicated router: fans every accepted batch out to N supervised
+//! replicas and answers queries from the freshest healthy one.
 //!
-//! **Partition + halo.** Users are hash-partitioned by a seeded SplitMix64
-//! of their id (`user_shard`). Pure user partitioning would split an
-//! attack group whose workers hash to different shards below the `k₁`
-//! floor, so the router replicates boundary items: it keeps every item's
-//! cumulative per-user click counts and the set of shards *interested* in
-//! the item (shards owning at least one of its clickers). The first time a
-//! shard gains interest in an item, the item's aggregated history is
-//! backfilled into that shard's sub-batch; from then on every click on the
-//! item fans out to all interested shards. Aggregation is lossless for the
-//! detector — the graph builder merges duplicate `(user, item)` pairs by
-//! summing clicks, so one backfilled record per clicker reproduces the
-//! exact neighborhood — and it bounds the routing table at O(distinct
-//! `(user, item)` pairs) rather than O(total clicks). Each shard therefore
-//! sees the complete neighborhood of every item its users touch, and any
-//! group containing a shard's user is detected *in full* by that shard.
-//! Queries merge per-shard views with [`RiskView::merged`], which
-//! deduplicates the halo-replicated groups.
+//! **Replication.** Each replica is a full [`ServeState`] over the whole
+//! click stream. The paper's attack groups ride hot items, so a user-hash
+//! partition had to copy almost every item's neighbourhood to every shard
+//! anyway; replicating outright costs the same records and needs no
+//! routing table, no backfill and no per-query merge. Every replica gets
+//! the same `Arc` of each batch in the same order, so healthy replicas
+//! publish identical verdicts — the monolith's.
 //!
-//! **Zero accepted-batch loss.** An accepted batch's sub-batches are
-//! appended to per-shard replay logs *before* the accept reply is
-//! written; logs are truncated only when a coordinated checkpoint durably
-//! covers them. A shard crash therefore loses at most un-acked work: the
-//! supervisor restores the shard from its last checkpoint and the
-//! replacement worker replays the retained log, deduplicated by local
-//! sequence number.
+//! **Zero accepted-batch loss.** An accepted batch is appended to every
+//! replica's replay log *before* the accept reply is written; logs are
+//! truncated only when a coordinated checkpoint durably covers them. A
+//! replica crash therefore loses at most un-acked work: the supervisor
+//! restores the replica from its last checkpoint and the replacement
+//! worker replays the retained log, deduplicated by local sequence number.
 //!
-//! **Degradation contract.** While any shard is not `Up`, risk queries
-//! are answered from the remaining live views and tagged
-//! `degraded: true` with the missing shard list; recommendations for a
-//! down shard's user return an empty degraded list (the owner's snapshot
-//! cell holds its last published view during `Recovering`, so those stay
-//! answerable). Ingest keeps flowing for live shards; a batch touching a
-//! down shard still buffers into its replay log up to
-//! [`buffer_per_shard`](RouterConfig::buffer_per_shard) batches, after
-//! which the whole batch gets an explicit backpressure `Rejected` (PR 4's
-//! contract — the router never buffers unboundedly). The published epoch
-//! is a **quorum watermark**: it advances to `min(epoch of Up shards)`
-//! only while at least `⌊N/2⌋+1` shards are `Up`, and freezes (never
+//! **Degradation contract.** Queries answer from the `Up` replica with
+//! the highest view epoch. Only when no replica is `Up` is the answer
+//! tagged `degraded: true`; it then comes from the freshest replica that
+//! is not `Down` (a `Recovering` replica's cell holds its last published
+//! view), or is empty when every replica is `Down`. `missing_shards` lists
+//! the `Down` replicas either way. Ingest keeps flowing while a replica is
+//! down: batches buffer into its replay log up to
+//! [`buffer_per_shard`](RouterConfig::buffer_per_shard), after which the
+//! whole batch gets an explicit backpressure `Rejected` (the monolith queue's
+//! contract: the router never buffers unboundedly). The published epoch is a
+//! **quorum watermark**: it advances to `min(epoch of Up replicas)` only
+//! while at least `⌊N/2⌋+1` replicas are `Up`, and freezes (never
 //! regresses) below quorum.
 
 use crate::manifest::{Manifest, ManifestEntry, MANIFEST_VERSION};
-use crate::retry::splitmix64;
 use crate::state::{ServeConfig, ServeMetrics, ServeSnapshot};
 use crate::supervisor::{
     ShardHealth, ShardSlot, ShardStateFactory, Supervisor, SupervisorConfig, SupervisorMetrics,
@@ -53,29 +41,17 @@ use ricd_core::RicdParams;
 use ricd_engine::{ServeFaultInjector, ServeFaultPlan};
 use ricd_graph::{ItemId, UserId};
 use ricd_obs::{Counter, Gauge, MetricsRegistry};
-use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The default user-hash seed. A coordinated checkpoint's `manifest.json`
-/// records the seed it was routed with, so changing this (or
-/// [`user_shard`]) would misroute records replayed after a resume.
-pub(crate) const DEFAULT_HASH_SEED: u64 = 0x5eed_5a4d;
-
-/// The shard owning user `u` among `shards`: SplitMix64 of the id xor the
-/// seed — stable across platforms and processes, unlike the std hasher.
-pub(crate) fn user_shard(u: UserId, hash_seed: u64, shards: usize) -> usize {
-    let mut state = u64::from(u.0) ^ hash_seed;
-    (splitmix64(&mut state) % shards.max(1) as u64) as usize
-}
-
-/// Routed-runtime configuration.
+/// Replicated-runtime configuration.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Shard count (1..=64 — interest sets are a u64 bitmask).
+    /// Replica count (1..=64 — each replica is a full `ServeState`, so
+    /// memory grows linearly with it).
     pub shards: usize,
     /// Detection parameters every shard runs with.
     pub params: RicdParams,
@@ -87,8 +63,6 @@ pub struct RouterConfig {
     /// Max *unprocessed* batches buffered per shard before the router
     /// answers `Rejected` (explicit backpressure, incl. for down shards).
     pub buffer_per_shard: usize,
-    /// User-hash seed (defaults to `DEFAULT_HASH_SEED`).
-    pub hash_seed: u64,
     /// Supervision knobs (probe cadence, stall budget, restart backoff).
     pub supervisor: SupervisorConfig,
     /// Where coordinated checkpoints (per-shard files + `manifest.json`)
@@ -110,7 +84,6 @@ impl Default for RouterConfig {
             serve: ServeConfig::default(),
             workers_per_shard: 1,
             buffer_per_shard: 64,
-            hash_seed: DEFAULT_HASH_SEED,
             supervisor: SupervisorConfig::default(),
             checkpoint_dir: None,
             checkpoint_every_batches: 32,
@@ -119,18 +92,9 @@ impl Default for RouterConfig {
     }
 }
 
-/// One item's routing entry: its cumulative per-user click counts and the
-/// shards interested in it. A `BTreeMap` keeps backfill order (and thus
-/// sub-batch construction) deterministic across runs.
-struct ItemEntry {
-    history: BTreeMap<UserId, u32>,
-    interest: u64,
-}
-
-/// Router-side mutable routing state, serialized under one lock so
-/// sub-batch construction is deterministic in batch arrival order.
+/// Router-side mutable state, serialized under one lock so every replica
+/// log receives batches in the same order.
 struct RouteTable {
-    items: HashMap<ItemId, ItemEntry>,
     /// Global-sequence dedup: batches below this were already accepted
     /// (at-least-once redelivery is acked idempotently, never re-routed).
     next_global_seq: u64,
@@ -139,7 +103,6 @@ struct RouteTable {
 
 /// Router-level metrics beyond the aggregate `serve.*` family.
 struct RouterMetrics {
-    halo_records: Counter,
     degraded_queries: Counter,
     checkpoints: Counter,
     quorum: Gauge,
@@ -148,8 +111,10 @@ struct RouterMetrics {
 
 impl RouterMetrics {
     fn register(registry: &MetricsRegistry) -> Self {
+        // Replicas copy no halo, so this stays 0; it stays registered
+        // because dashboards and the benchmark's trace read it.
+        registry.counter("serve.router.halo_records");
         Self {
-            halo_records: registry.counter("serve.router.halo_records"),
             degraded_queries: registry.counter("serve.router.degraded_queries"),
             checkpoints: registry.counter("serve.router.checkpoints"),
             quorum: registry.gauge("serve.router.quorum"),
@@ -207,7 +172,6 @@ impl Router {
             agg,
             rm,
             route: Mutex::new(RouteTable {
-                items: HashMap::new(),
                 next_global_seq: 0,
                 accepted_since_checkpoint: 0,
             }),
@@ -245,92 +209,44 @@ impl Router {
         self.shutdown.clone()
     }
 
-    /// The owning shard of `u` under the planner-compatible hash.
-    pub fn owner_of(&self, u: UserId) -> usize {
-        user_shard(u, self.cfg.hash_seed, self.cfg.shards)
-    }
-
-    /// Routes one accepted batch: splits it into halo-replicated
-    /// sub-batches and appends them to the target shards' replay logs.
-    /// Two-phase: sub-batches and routing-table mutations are computed on
-    /// an overlay first, admission is checked against every target's
-    /// backlog, and only then is anything committed — a rejected batch
-    /// leaves no trace, so the client's retry re-routes identically.
-    pub fn route_batch(&self, seq: u64, records: &[(UserId, ItemId, u32)]) -> Response {
+    /// Accepts one batch: appends one shared copy of it to every
+    /// replica's replay log. Two-phase: admission is checked against every
+    /// replica's backlog before anything is appended, so a rejected batch
+    /// leaves no trace and the client's retry is routed identically. A
+    /// batch with no records is acked and appended nowhere.
+    pub fn route_batch(&self, seq: u64, records: Vec<(UserId, ItemId, u32)>) -> Response {
+        let len = records.len();
         let mut route = self.route.lock().expect("route table poisoned");
         if seq < route.next_global_seq {
             // At-least-once redelivery of an already-accepted batch:
             // idempotent ack, nothing re-routed.
-            return Response::Ingested {
-                seq,
-                records: records.len(),
-            };
+            return Response::Ingested { seq, records: len };
         }
-        let n = self.cfg.shards;
-        let mut subs: Vec<Vec<(UserId, ItemId, u32)>> = vec![Vec::new(); n];
-        // Overlay so a rejected batch mutates nothing.
-        let mut overlay: HashMap<ItemId, ItemEntry> = HashMap::new();
-        let mut halo = 0u64;
-        for &(u, i, c) in records {
-            let owner = user_shard(u, self.cfg.hash_seed, n);
-            let base = route.items.get(&i);
-            let entry = overlay.entry(i).or_insert_with(|| ItemEntry {
-                history: base.map(|e| e.history.clone()).unwrap_or_default(),
-                interest: base.map(|e| e.interest).unwrap_or(0),
-            });
-            if entry.interest & (1 << owner) == 0 {
-                // New interest: backfill the item's aggregated history so
-                // the owner sees the complete neighborhood from click one.
-                entry.interest |= 1 << owner;
-                for (&hu, &hc) in &entry.history {
-                    subs[owner].push((hu, i, hc));
-                    halo += 1;
-                }
-            }
-            let mut mask = entry.interest;
-            while mask != 0 {
-                let s = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                subs[s].push((u, i, c));
-                if s != owner {
-                    halo += 1;
-                }
-            }
-            let total = entry.history.entry(u).or_insert(0);
-            *total = total.saturating_add(c);
-        }
-        // Admission: every target shard must have replay-log room.
-        for (s, sub) in subs.iter().enumerate() {
-            if !sub.is_empty()
-                && self.slots[s].channel.backlog() >= self.cfg.buffer_per_shard as u64
-            {
+        if len > 0 {
+            // Admission: every replica's log must have room.
+            let full = self
+                .slots
+                .iter()
+                .any(|s| s.channel.backlog() >= self.cfg.buffer_per_shard as u64);
+            if full {
                 self.agg.backpressure_rejected.inc();
                 return Response::Rejected {
                     seq,
                     queue_capacity: self.cfg.buffer_per_shard,
                 };
             }
-        }
-        // Commit: overlay into the table, sub-batches into the logs.
-        for (i, e) in overlay {
-            route.items.insert(i, e);
-        }
-        for (s, sub) in subs.into_iter().enumerate() {
-            if !sub.is_empty() {
-                self.slots[s].channel.push(Arc::new(sub));
+            let batch = Arc::new(records);
+            for slot in &self.slots {
+                slot.channel.push(batch.clone());
             }
         }
         route.next_global_seq = seq + 1;
         route.accepted_since_checkpoint += 1;
         self.agg.batches.inc();
-        self.agg.records.add(records.len() as u64);
-        self.rm.halo_records.add(halo);
+        self.agg.records.add(len as u64);
         drop(route);
         self.refresh_depth_gauge();
-        Response::Ingested {
-            seq,
-            records: records.len(),
-        }
+        Response::Ingested { seq, records: len }
     }
 
     fn refresh_depth_gauge(&self) {
@@ -364,61 +280,66 @@ impl Router {
         e
     }
 
-    /// Risk query across every live shard's view, merged and tagged.
-    pub fn query_risk(&self, users: Vec<UserId>, items: Vec<ItemId>) -> Response {
-        self.agg.queries_risk.inc();
-        let epoch = self.refresh_epoch();
-        let snaps: Vec<(ShardHealth, Arc<ServeSnapshot>)> = self
-            .slots
-            .iter()
-            .map(|s| (s.health(), s.cell.load()))
-            .collect();
-        let missing: Vec<u32> = snaps
-            .iter()
-            .enumerate()
-            .filter(|(_, (h, _))| *h == ShardHealth::Down)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let degraded = snaps.iter().any(|(h, _)| *h != ShardHealth::Up);
+    /// The snapshot queries read: the `Up` replica with the highest view
+    /// epoch (lowest index on a tie). With no replica `Up` the answer is
+    /// degraded and comes from the freshest replica that is not `Down`,
+    /// or is `None` when every replica is `Down`. Also returns whether the
+    /// answer is degraded and the `Down` replicas.
+    fn answering_snapshot(&self) -> (Option<Arc<ServeSnapshot>>, bool, Vec<u32>) {
+        let health: Vec<ShardHealth> = self.slots.iter().map(|s| s.health()).collect();
+        let degraded = !health.contains(&ShardHealth::Up);
         if degraded {
             self.rm.degraded_queries.inc();
         }
-        let views: Vec<&RiskView> = snaps
+        // With none `Up`, "not `Down`" means `Recovering`.
+        let eligible = if degraded {
+            ShardHealth::Recovering
+        } else {
+            ShardHealth::Up
+        };
+        let snap = self
+            .slots
             .iter()
-            .filter(|(h, _)| *h != ShardHealth::Down)
-            .map(|(_, s)| &s.view)
+            .zip(&health)
+            .filter(|&(_, &h)| h == eligible)
+            .map(|(s, _)| s.cell.load())
+            // `min_by_key` keeps the first of equal keys: the lowest index.
+            .min_by_key(|snap| std::cmp::Reverse(snap.view.epoch()));
+        let down = (0..)
+            .zip(&health)
+            .filter(|&(_, &h)| h == ShardHealth::Down)
+            .map(|(i, _)| i)
             .collect();
-        let merged = RiskView::merged(epoch, &views);
+        (snap, degraded, down)
+    }
+
+    /// Risk query answered by one replica's view.
+    pub fn query_risk(&self, users: Vec<UserId>, items: Vec<ItemId>) -> Response {
+        self.agg.queries_risk.inc();
+        let epoch = self.refresh_epoch();
+        let (snap, degraded, missing_shards) = self.answering_snapshot();
+        let empty = RiskView::empty();
+        let view = snap.as_ref().map_or(&empty, |s| &s.view);
         Response::Risk {
             epoch,
-            users: users.into_iter().map(|u| (u, merged.user(u))).collect(),
-            items: items.into_iter().map(|v| (v, merged.item(v))).collect(),
-            groups: merged.groups().len(),
+            users: users.into_iter().map(|u| (u, view.user(u))).collect(),
+            items: items.into_iter().map(|i| (i, view.item(i))).collect(),
+            groups: view.groups().len(),
             degraded,
-            missing_shards: missing,
+            missing_shards,
         }
     }
 
-    /// Recommendation from the owning shard's snapshot. A down owner
-    /// answers empty + degraded rather than failing the query.
+    /// Recommendation from the replica risk queries read; empty and
+    /// degraded when every replica is down.
     pub fn recommend(&self, user: UserId, n: usize) -> Response {
         self.agg.queries_recommend.inc();
         let epoch = self.refresh_epoch();
-        let slot = &self.slots[self.owner_of(user)];
-        let health = slot.health();
-        if health == ShardHealth::Down {
-            self.rm.degraded_queries.inc();
-            return Response::Recommendation {
-                epoch,
-                items: Vec::new(),
-                degraded: true,
-            };
-        }
-        let snap = slot.cell.load();
+        let (snap, degraded, _) = self.answering_snapshot();
         Response::Recommendation {
             epoch,
-            items: snap.recommend(user, n),
-            degraded: health != ShardHealth::Up,
+            items: snap.map_or_else(Vec::new, |s| s.recommend(user, n)),
+            degraded,
         }
     }
 
@@ -454,7 +375,7 @@ impl Router {
     pub fn checkpoint_coordinated(&self, deadline: Duration) -> Result<Response, String> {
         let _serial = self.ckpt_lock.lock().expect("checkpoint lock poisoned");
         // Capture the global cursor and enqueue every barrier under ONE
-        // route-lock hold. route_batch appends sub-batches and advances
+        // route-lock hold. route_batch appends batches and advances
         // next_global_seq under the same lock, so every batch below the
         // captured cursor reached the replay logs before any barrier —
         // i.e. is covered by every shard checkpoint — and every batch at
@@ -507,7 +428,6 @@ impl Router {
             let manifest = Manifest {
                 version: MANIFEST_VERSION,
                 shards: self.cfg.shards as u32,
-                hash_seed: self.cfg.hash_seed,
                 epoch,
                 next_global_seq,
                 entries,
@@ -610,10 +530,10 @@ impl Router {
     /// Handles one wire request against the routed topology.
     pub fn handle(&self, req: Request) -> Response {
         match req {
-            Request::Ingest { seq, records } => self.route_batch(seq, &records),
+            Request::Ingest { seq, records } => self.route_batch(seq, records),
             Request::IngestTimed { seq, records } => {
                 // Event time is recorded at the router's aggregate family;
-                // shards receive the stripped triples so sub-batch routing,
+                // replicas receive the stripped triples so routing,
                 // dedup, and checkpoints are identical to untimed ingest.
                 self.agg.timed_batches.inc();
                 self.agg.timed_records.add(records.len() as u64);
@@ -623,9 +543,8 @@ impl Router {
                         self.agg.event_ts.set(ts);
                     }
                 }
-                let stripped: Vec<(UserId, ItemId, u32)> =
-                    records.iter().map(|&(u, v, c, _)| (u, v, c)).collect();
-                self.route_batch(seq, &stripped)
+                let stripped = records.iter().map(|&(u, v, c, _)| (u, v, c)).collect();
+                self.route_batch(seq, stripped)
             }
             Request::QueryRisk { users, items } => self.query_risk(users, items),
             Request::Recommend { user, n } => self.recommend(user, n),
@@ -670,9 +589,8 @@ impl Router {
         }
     }
 
-    /// Initial per-shard checkpoints when resuming from `manifest`; also
-    /// rebuilds the routing table (item histories + interest sets) from
-    /// the restored shard graphs and restores the global-sequence cursor.
+    /// Initial per-replica checkpoints when resuming from `manifest`; also
+    /// restores the global-sequence cursor and the epoch watermark.
     pub(crate) fn load_resume_state(
         self: &Arc<Self>,
         manifest: &Manifest,
@@ -683,9 +601,6 @@ impl Router {
                 "manifest is for {} shards, router runs {}",
                 manifest.shards, self.cfg.shards
             ));
-        }
-        if manifest.hash_seed != self.cfg.hash_seed {
-            return Err("manifest hash seed differs from the router's".into());
         }
         let mut initial = Vec::with_capacity(self.cfg.shards);
         let mut route = self.route.lock().expect("route table poisoned");
@@ -714,67 +629,9 @@ impl Router {
             let slot = &self.slots[entry.shard as usize];
             slot.channel.resume_at(ckpt.next_seq);
             *slot.last_checkpoint.lock().expect("slot poisoned") = Some(ckpt.clone());
-            // Interest: a shard's record stream mentions exactly the
-            // items it is interested in.
-            for &(_, i, _) in &ckpt.records {
-                route
-                    .items
-                    .entry(i)
-                    .or_insert_with(|| ItemEntry {
-                        history: BTreeMap::new(),
-                        interest: 0,
-                    })
-                    .interest |= 1 << entry.shard;
-            }
             initial.push(Some(ckpt));
-        }
-        // Histories: every interested shard holds an item's *complete*
-        // history (the backfill invariant), so take each item's history
-        // wholesale from the first shard that mentions it. Checkpoint
-        // record streams may repeat a (user, item) pair; counts aggregate
-        // additively, same as the graph builder.
-        let mut filled: std::collections::HashSet<ItemId> = std::collections::HashSet::new();
-        for ckpt in initial.iter().flatten() {
-            for &(u, i, c) in &ckpt.records {
-                if !filled.contains(&i) {
-                    let e = route.items.get_mut(&i).expect("interest pass inserted");
-                    let total = e.history.entry(u).or_insert(0);
-                    *total = total.saturating_add(c);
-                }
-            }
-            for &(_, i, _) in &ckpt.records {
-                filled.insert(i);
-            }
         }
         self.epoch.store(manifest.epoch, Ordering::SeqCst);
         Ok(initial)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `manifest.json` stores the hash seed, not the hash: a resumed router
-    /// must send every user to the shard it was routed to before.
-    #[test]
-    fn user_shard_assignment_is_pinned() {
-        let seed = DEFAULT_HASH_SEED;
-        for (u, shards, owner) in [
-            (0, 2, 0),
-            (0, 4, 2),
-            (2, 2, 1),
-            (2, 4, 3),
-            (3, 4, 1),
-            (42, 4, 2),
-            (1000, 2, 0),
-            (u32::MAX, 4, 1),
-        ] {
-            assert_eq!(
-                user_shard(UserId(u), seed, shards),
-                owner,
-                "user {u} of {shards}"
-            );
-        }
     }
 }

@@ -252,9 +252,9 @@ impl RouterHandle {
     }
 }
 
-/// Binds `addr` and starts the **sharded** daemon: N supervised shard
-/// workers behind a routing front-end. `resume_manifest` resumes every
-/// shard from a coordinated checkpoint manifest (see
+/// Binds `addr` and starts the **replicated** daemon: N supervised
+/// replicas behind a routing front-end. `resume_manifest` resumes every
+/// replica from a coordinated checkpoint manifest (see
 /// [`crate::manifest::Manifest`]).
 pub fn start_router(
     cfg: RouterConfig,

@@ -1,7 +1,7 @@
 //! Shard workers and the supervision tree that keeps them alive.
 //!
 //! Each shard of the routed runtime is one [`ShardSlot`]: a replay-log
-//! channel the router appends routed sub-batches to, a snapshot cell
+//! channel the router appends every accepted batch to, a snapshot cell
 //! queries read from, and health/heartbeat state the supervisor probes.
 //! The worker thread owning the shard's [`ServeState`] is **expendable** —
 //! it processes batches by *reading* the log (entries are only dropped
@@ -20,8 +20,8 @@
 //!   was restarted at;
 //! * `Down` — the thread is dead (join returned a panic) or stalled (work
 //!   pending but no heartbeat within the stall budget). A stalled thread
-//!   cannot be killed from outside; marking it `Down` is what degrades
-//!   queries honestly until it resumes and re-beats.
+//!   cannot be killed from outside; marking it `Down` takes it out of
+//!   the query rotation until it resumes and re-beats.
 
 use crate::retry::RetryPolicy;
 use crate::shared::SnapshotCell;
@@ -81,7 +81,7 @@ struct CheckpointBarrier {
 struct ChannelInner {
     /// Local sequence of `log[0]`.
     base: u64,
-    /// Routed sub-batches retained for crash replay; truncated only when
+    /// Batches retained for crash replay; truncated only when
     /// a checkpoint covers them.
     log: VecDeque<Arc<Vec<(UserId, ItemId, u32)>>>,
     /// Local sequence of the next batch the worker will process.
@@ -131,7 +131,7 @@ impl ShardChannel {
         self.inner.lock().expect("shard channel poisoned")
     }
 
-    /// Appends a routed sub-batch, returning its local sequence.
+    /// Appends a batch, returning its local sequence.
     pub(crate) fn push(&self, records: Arc<Vec<(UserId, ItemId, u32)>>) -> u64 {
         let seq = {
             let mut inner = self.lock();

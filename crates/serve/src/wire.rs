@@ -131,11 +131,11 @@ pub enum Response {
         items: Vec<(ItemId, RiskVerdict)>,
         /// Number of detected groups in the view.
         groups: usize,
-        /// True when the answer is partial: at least one shard's view is
-        /// missing (shard down) or stale (recovering). A monolith server
-        /// always answers `false`.
+        /// True when no replica was `Up`: the answer comes from a
+        /// recovering replica's last view, or is empty when every replica
+        /// is down. A monolith server always answers `false`.
         degraded: bool,
-        /// The shards whose views are missing from this answer.
+        /// The replicas that were `Down`.
         missing_shards: Vec<u32>,
     },
     /// A cleaned recommendation list.
@@ -144,8 +144,8 @@ pub enum Response {
         epoch: u64,
         /// `(item, score)` descending.
         items: Vec<(ItemId, f32)>,
-        /// True when the owning shard was unavailable and the list is
-        /// empty-by-outage rather than empty-by-content.
+        /// True when no replica was `Up` (see `Risk::degraded`); with every
+        /// replica down the list is empty-by-outage, not empty-by-content.
         degraded: bool,
     },
     /// The server's metrics snapshot.

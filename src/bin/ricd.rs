@@ -152,17 +152,17 @@ SERVING:
     A frame that stalls mid-read past --io-timeout-ms closes the
     connection (slow-loris guard, counted in serve.conn_timeouts).
 
-    `ricd serve --shards N` runs the supervised multi-shard topology:
-    ingest is hash-routed (with halo replication of shared items) to N
-    crash-isolated shard workers; a dead shard restarts from its last
-    coordinated checkpoint and replays its log, losing no accepted batch.
-    While a shard is down, queries answer from the live shards tagged
-    DEGRADED, and `ricd client status` shows per-shard health, restart
-    counts, and the quorum epoch watermark (degraded status still exits
-    0 — the topology is serving). Coordinated checkpoints write per-shard
-    files plus a manifest.json commit point under --checkpoint-dir every
-    --checkpoint-every accepted batches (and on `client checkpoint`);
-    --resume-manifest restores the whole topology from one.
+    `ricd serve --shards N` runs N supervised replicas: every batch goes
+    to N crash-isolated replica workers; a dead replica restarts from its
+    last coordinated checkpoint and replays its log, losing no accepted
+    batch. Queries answer from the freshest replica that is up; only
+    when none is up are they tagged DEGRADED. `ricd client status` shows
+    per-replica health, restart counts, and the quorum epoch watermark
+    (degraded status still exits 0 — the topology is serving).
+    Coordinated checkpoints write per-replica files plus a manifest.json
+    commit point under --checkpoint-dir every --checkpoint-every accepted
+    batches (and on `client checkpoint`); --resume-manifest restores the
+    whole topology from one.
 
 STREAMING:
     `ricd stream` replays a timestamped attack scenario through the
@@ -731,9 +731,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     let port: u16 = flags.parse("--port")?.unwrap_or(0);
 
-    // --shards N runs the supervised multi-shard topology (routed ingest,
-    // crash-recovering shard workers, degraded-mode serving). Without it
-    // the classic single-state daemon runs.
+    // --shards N runs N supervised replicas (crash-recovering replica
+    // workers, degraded-mode serving). Without it the classic single-state
+    // daemon runs.
     if let Some(shards) = flags.parse::<usize>("--shards")? {
         let mut rcfg = RouterConfig {
             shards,

@@ -244,7 +244,7 @@ fn mutated_manifests_fail_typed_or_resume_cleanly() {
     for shard in 0..2 {
         Manifest::write_shard_checkpoint(&dir, shard, &ckpt).unwrap();
     }
-    let bytes = br#"{"version":1,"shards":2,"hash_seed":7,"epoch":3,"next_global_seq":1,"entries":[
+    let bytes = br#"{"version":2,"shards":2,"epoch":3,"next_global_seq":1,"entries":[
         {"shard":0,"file":"shard-0.ckpt.json","next_seq":1,"epoch":3},
         {"shard":1,"file":"shard-1.ckpt.json","next_seq":1,"epoch":3}]}"#;
     let load = |b: &[u8]| {

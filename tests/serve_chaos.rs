@@ -1,21 +1,24 @@
-//! Chaos suite for the supervised multi-shard serve tier: seeded
-//! kill/stall fault plans injected into shard workers while a planted
-//! campaign streams in under live query load.
+//! Chaos suite for the supervised replica tier: seeded kill/stall fault
+//! plans injected into replica workers while a planted campaign streams in
+//! under live query load.
 //!
 //! The contracts under test, matching the serve-tier failure model:
 //!
+//! * **Replica equivalence** — every replica publishes the same groups,
+//!   and the router's answers equal the monolith's.
 //! * **Zero accepted-batch loss** — an acked batch survives worker
-//!   crashes: the restarted worker replays the shard's retained log from
-//!   its last checkpoint, and the post-recovery per-shard views are
+//!   crashes: the restarted worker replays the replica's retained log from
+//!   its last checkpoint, and the post-recovery per-replica views are
 //!   byte-identical to an uninterrupted run of the same stream.
-//! * **Degraded-mode serving** — queries keep being answered during an
-//!   outage, tagged `degraded` with the missing shard list; ingest for a
-//!   down shard buffers to a bound then answers explicit `Rejected`.
-//! * **Supervised recovery** — a killed shard is restarted (with capped
+//! * **Degraded-mode serving** — a down replica is masked by an `Up`
+//!   peer; with none `Up`, queries are still answered, tagged `degraded`
+//!   with the missing replica list. Ingest for a down replica buffers to a
+//!   bound then answers explicit `Rejected`.
+//! * **Supervised recovery** — a killed replica is restarted (with capped
 //!   seeded backoff) and reaches `Up` again within the budget; a stalled
-//!   shard is marked `Down` and self-heals when it resumes.
+//!   replica is marked `Down` and self-heals when it resumes.
 //! * **Manifest resume** — a full process restart from `manifest.json`
-//!   reconstructs routing state and global-sequence dedup, so redelivered
+//!   restores every replica and global-sequence dedup, so redelivered
 //!   pre-checkpoint batches are acked idempotently; a manifest naming a
 //!   file outside its directory is refused before that file is read.
 
@@ -83,7 +86,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Streams every batch and returns the per-shard final views, serialized.
+/// Streams every batch and returns the per-replica final views,
+/// serialized, after asserting that every replica's groups are identical.
 /// The router's drain guarantees every accepted batch is processed first.
 fn run_stream(
     cfg: RouterConfig,
@@ -99,10 +103,14 @@ fn run_stream(
     c.shutdown().expect("shutdown");
     drop(c);
     let states = handle.join();
-    let views = states
+    let views: Vec<String> = states
         .iter()
         .map(|s| serde_json::to_string(s.shared().load().view.groups()).expect("serialize"))
         .collect();
+    assert!(
+        views.windows(2).all(|w| w[0] == w[1]),
+        "replicas disagree on the detected groups"
+    );
     (views, states)
 }
 
@@ -184,16 +192,23 @@ fn killed_shard_recovers_with_zero_accepted_batch_loss() {
     );
 }
 
-#[test]
-fn stalled_shard_degrades_queries_and_bounded_buffer_rejects_then_recovers() {
+/// What a stall of replica 0 looked like from outside.
+struct StallRun {
+    rejected: bool,
+    saw_down: bool,
+    saw_degraded_query: bool,
+}
+
+/// Stalls replica 0 of `replicas` for well past the stall budget while the
+/// stream goes in through a buffer small enough that continued ingest hits
+/// the bound, watching risk queries and status from a second connection;
+/// then waits for the stalled replica to self-heal.
+fn stall_run(replicas: usize) -> StallRun {
     let ds = world();
     let stream = batches(&ds, 400);
-
-    // Stall shard 0 for well past the stall budget, with a buffer small
-    // enough that continued ingest hits the bound while it is stalled.
     let cfg = RouterConfig {
         buffer_per_shard: 3,
-        ..router_config(2, ServeFaultPlan::stall_at(0, 2, 1200))
+        ..router_config(replicas, ServeFaultPlan::stall_at(0, 2, 1200))
     };
     let handle = start_router(cfg, MetricsRegistry::new(), "127.0.0.1:0", None).expect("bind");
     let addr = handle.addr();
@@ -228,27 +243,15 @@ fn stalled_shard_degrades_queries_and_bounded_buffer_rejects_then_recovers() {
     };
 
     let policy = RetryPolicy::with_deadline(Duration::from_secs(120));
-    let mut saw_rejection = false;
+    let mut rejected = false;
     for (seq, b) in stream.iter().enumerate() {
         let stats = c
             .ingest_blocking_with(seq as u64, b, &policy)
             .expect("batch accepted eventually");
-        saw_rejection |= stats.rejections > 0;
+        rejected |= stats.rejections > 0;
     }
     stop.store(true, Ordering::Relaxed);
     observer.join().expect("observer clean");
-    assert!(
-        saw_rejection,
-        "the bounded per-shard buffer never pushed back during the stall"
-    );
-    assert!(
-        saw_down.load(Ordering::Relaxed),
-        "the stalled shard was never marked down"
-    );
-    assert!(
-        saw_degraded_query.load(Ordering::Relaxed),
-        "queries during the stall were never tagged degraded"
-    );
 
     // Self-heal: the stalled worker resumes, drains, and goes Up again.
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -268,6 +271,39 @@ fn stalled_shard_degrades_queries_and_bounded_buffer_rejects_then_recovers() {
     c.shutdown().expect("shutdown");
     drop(c);
     handle.join();
+    StallRun {
+        rejected,
+        saw_down: saw_down.load(Ordering::Relaxed),
+        saw_degraded_query: saw_degraded_query.load(Ordering::Relaxed),
+    }
+}
+
+#[test]
+fn stalled_replica_is_masked_by_its_peer_while_bounded_buffer_rejects_then_recovers() {
+    let run = stall_run(2);
+    assert!(
+        run.rejected,
+        "the bounded per-replica buffer never pushed back during the stall"
+    );
+    assert!(run.saw_down, "the stalled replica was never marked down");
+    assert!(
+        !run.saw_degraded_query,
+        "a risk query was degraded although the other replica stayed up"
+    );
+}
+
+#[test]
+fn stalled_sole_replica_degrades_queries_then_recovers() {
+    let run = stall_run(1);
+    assert!(
+        run.rejected,
+        "the bounded buffer never pushed back during the stall"
+    );
+    assert!(run.saw_down, "the stalled replica was never marked down");
+    assert!(
+        run.saw_degraded_query,
+        "queries during the stall were never tagged degraded"
+    );
 }
 
 #[test]
@@ -347,9 +383,9 @@ fn resume_manifest_naming_a_file_outside_its_directory_is_refused() {
     std::fs::write(root.join("outside.ckpt.json"), json).unwrap();
     let cfg = router_config(1, ServeFaultPlan::none());
     let manifest = root.join("ckpt").join("manifest.json");
-    let json = r#"{"version":1,"shards":1,"hash_seed":SEED,"epoch":0,"next_global_seq":0,
+    let json = r#"{"version":2,"shards":1,"epoch":0,"next_global_seq":0,
         "entries":[{"shard":0,"file":"../outside.ckpt.json","next_seq":0,"epoch":0}]}"#;
-    std::fs::write(&manifest, json.replace("SEED", &cfg.hash_seed.to_string())).unwrap();
+    std::fs::write(&manifest, json).unwrap();
     let err = match start_router(cfg, MetricsRegistry::new(), "127.0.0.1:0", Some(&manifest)) {
         Ok(_) => panic!("resumed from a checkpoint outside the manifest's directory"),
         Err(e) => e,
@@ -370,31 +406,31 @@ fn sharded_detection_flags_the_planted_campaign_across_shard_counts() {
     for shards in [1usize, 2, 4] {
         let (views, states) = run_stream(router_config(shards, ServeFaultPlan::none()), &stream);
         assert_eq!(views.len(), shards);
-        // Every planted worker/target is flagged by the merged view.
-        let snaps: Vec<_> = states.iter().map(|s| s.shared().load()).collect();
-        let views_ref: Vec<_> = snaps.iter().map(|snap| &snap.view).collect();
-        let merged = fake_click_detection::core::riskview::RiskView::merged(1, &views_ref);
-        for u in ds.truth.abnormal_users() {
-            assert!(
-                merged.user(u).flagged,
-                "planted worker {u:?} not flagged at {shards} shard(s)"
+        // Every replica, on its own, flags every planted worker/target.
+        for (r, state) in states.iter().enumerate() {
+            let view = &state.shared().load().view;
+            for u in ds.truth.abnormal_users() {
+                assert!(
+                    view.user(u).flagged,
+                    "planted worker {u:?} not flagged by replica {r} of {shards}"
+                );
+            }
+            for i in ds.truth.abnormal_items() {
+                assert!(
+                    view.item(i).flagged,
+                    "planted target {i:?} not flagged by replica {r} of {shards}"
+                );
+            }
+            let organic_flagged = (0..50)
+                .map(UserId)
+                .filter(|u| !ds.truth.is_abnormal_user(*u))
+                .filter(|u| view.user(*u).flagged)
+                .count();
+            assert_eq!(
+                organic_flagged, 0,
+                "organic users misflagged by replica {r} of {shards}"
             );
         }
-        for i in ds.truth.abnormal_items() {
-            assert!(
-                merged.item(i).flagged,
-                "planted target {i:?} not flagged at {shards} shard(s)"
-            );
-        }
-        let organic_flagged = (0..50)
-            .map(UserId)
-            .filter(|u| !ds.truth.is_abnormal_user(*u))
-            .filter(|u| merged.user(*u).flagged)
-            .count();
-        assert_eq!(
-            organic_flagged, 0,
-            "organic users misflagged at {shards} shard(s)"
-        );
     }
 }
 
@@ -416,15 +452,24 @@ fn monolith_and_sharded_runs_agree_on_verdicts() {
     for (seq, b) in stream.iter().enumerate() {
         c.ingest_blocking(seq as u64, b).expect("batch accepted");
     }
-    let users = ds.truth.abnormal_users();
+    // The planted accounts plus a few organic ones.
+    let workers = ds.truth.abnormal_users();
+    let users: Vec<UserId> = workers.iter().copied().chain((0..20).map(UserId)).collect();
     let items = ds.truth.abnormal_items();
+    let recommend_all = |c: &mut Client| -> Vec<_> {
+        workers
+            .iter()
+            .map(|&u| c.recommend(u, 10).expect("recommend").items)
+            .collect()
+    };
     c.checkpoint().expect("barrier: all batches processed");
     let mono = c.query_risk(users.clone(), items.clone()).expect("query");
+    let mono_recs = recommend_all(&mut c);
     c.shutdown().expect("shutdown");
     drop(c);
     handle.join();
 
-    // Sharded run over the same stream.
+    // Four replicas over the same stream.
     let handle = start_router(
         router_config(4, ServeFaultPlan::none()),
         MetricsRegistry::new(),
@@ -438,7 +483,7 @@ fn monolith_and_sharded_runs_agree_on_verdicts() {
         c.ingest_blocking_with(seq as u64, b, &policy)
             .expect("batch accepted");
     }
-    // Barrier + drain so the merged view covers every batch.
+    // Barrier + drain so every replica's view covers every batch.
     c.checkpoint_manifest().expect("coordinated barrier");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -451,22 +496,23 @@ fn monolith_and_sharded_runs_agree_on_verdicts() {
     }
     let sharded = c.query_risk(users.clone(), items.clone()).expect("query");
     assert!(!sharded.degraded, "healthy topology answered degraded");
+    let sharded_recs = recommend_all(&mut c);
     c.shutdown().expect("shutdown");
     drop(c);
     handle.join();
 
+    // Whole verdicts — flagged, score and group — not only the flags.
     for ((u, mv), (_, sv)) in mono.users.iter().zip(&sharded.users) {
-        assert_eq!(
-            mv.flagged, sv.flagged,
-            "user {u:?}: monolith={mv:?} sharded={sv:?}"
-        );
+        assert_eq!(mv, sv, "user {u:?}");
     }
     for ((i, mv), (_, sv)) in mono.items.iter().zip(&sharded.items) {
-        assert_eq!(
-            mv.flagged, sv.flagged,
-            "item {i:?}: monolith={mv:?} sharded={sv:?}"
-        );
+        assert_eq!(mv, sv, "item {i:?}");
     }
+    assert_eq!(mono.groups, sharded.groups, "group count");
+    assert_eq!(
+        mono_recs, sharded_recs,
+        "recommendations for planted workers"
+    );
 }
 
 #[test]
