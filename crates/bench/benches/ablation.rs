@@ -1,13 +1,9 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! * **SquarePruning strategy** — bulk-synchronous parallel rounds (the
-//!   Grape formulation) vs the literal sequential pseudocode with
-//!   `reduce2Hop` ordering. Both reach the same fixpoint; this measures the
-//!   wall-clock difference.
-//! * **Worker count** — the engine's scaling from 1 to 16 workers (the
-//!   paper's default worker count).
 //! * **FRAUDAR edge weighting** — binary adjacency (the released code /
 //!   our default) vs click-count multiplicities.
+//! * **Naive `T_risk` curve** — the naive algorithm's precision/recall
+//!   trade-off as its risk threshold moves.
 //! * **COPYCATCH budget curve** — quality as a function of the enumeration
 //!   budget, the knob the paper's degenerate variant lives or dies by.
 
@@ -15,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ricd_baselines::copycatch::{copycatch_detect, CopyCatchParams};
 use ricd_baselines::fraudar::{fraudar_detect, FraudarParams};
 use ricd_bench::eval_dataset;
-use ricd_core::extract::SquareStrategy;
 use ricd_core::prelude::*;
 use ricd_engine::WorkerPool;
 use ricd_eval::prelude::*;
@@ -26,26 +21,6 @@ fn bench(c: &mut Criterion) {
     let ds = eval_dataset();
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
-
-    // SquarePruning strategy.
-    for strategy in [SquareStrategy::Parallel, SquareStrategy::SequentialOrdered] {
-        let pipeline = RicdPipeline::new(RicdParams::default()).with_strategy(strategy);
-        group.bench_with_input(
-            BenchmarkId::new("square_strategy", format!("{strategy:?}")),
-            &pipeline,
-            |b, p| b.iter(|| black_box(p.run(&ds.graph))),
-        );
-    }
-
-    // Worker scaling.
-    for workers in [1usize, 2, 4, 8, 16] {
-        let pipeline = RicdPipeline::new(RicdParams::default()).with_pool(WorkerPool::new(workers));
-        group.bench_with_input(
-            BenchmarkId::new("ricd_workers", workers),
-            &pipeline,
-            |b, p| b.iter(|| black_box(p.run(&ds.graph))),
-        );
-    }
 
     // FRAUDAR weighting.
     eprintln!("\n=== Ablation: FRAUDAR edge weighting ===");

@@ -21,15 +21,6 @@ pub fn eval_dataset() -> SyntheticDataset {
         .expect("default config is valid")
 }
 
-/// A smaller dataset for the expensive sweeps (sensitivity, ablation).
-pub fn small_dataset() -> SyntheticDataset {
-    let attack = AttackConfig {
-        group_size_jitter: 0.3,
-        ..AttackConfig::small()
-    };
-    generate(&DatasetConfig::small(), &attack).expect("small config is valid")
-}
-
 /// The sensitivity dataset: the Fig 9 attack mix (three waves straddling the
 /// swept parameter ranges — see [`AttackConfig::sensitivity_mix`]) over an
 /// organic population with *larger* bargain-hunter rings (8–12 × 8–12) whose

@@ -7,9 +7,9 @@
 //! when the flagged output falls short of the analyst's expectation — lets
 //! the [`FeedbackTuner`] relax the thresholds and re-runs, recording
 //! recall/precision/collateral per round. The report is deterministic JSON
-//! (`BENCH_adversarial.json` via `ricd-bench`'s `adversarial_bench`, or
-//! `ricd eval --adversarial`): no timings, no host-dependent fields, every
-//! random draw seeded per cell.
+//! (`ricd eval --adversarial --out`, pinned as the golden
+//! `tests/data/adversarial_matrix.json`): no timings, no host-dependent
+//! fields, every random draw seeded per cell.
 //!
 //! One-shot strategies are scored on the aggregate attacked graph; temporal
 //! strategies ([`AttackerStrategy::temporal`], e.g. the slow drip) replay

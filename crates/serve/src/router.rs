@@ -16,19 +16,19 @@
 //! restores the replica from its last checkpoint and the replacement
 //! worker replays the retained log, deduplicated by local sequence number.
 //!
-//! **Degradation contract.** Queries answer from the `Up` replica with
-//! the highest view epoch. Only when no replica is `Up` is the answer
-//! tagged `degraded: true`; it then comes from the freshest replica that
-//! is not `Down` (a `Recovering` replica's cell holds its last published
-//! view), or is empty when every replica is `Down`. `missing_shards` lists
-//! the `Down` replicas either way. Ingest keeps flowing while a replica is
-//! down: batches buffer into its replay log up to
-//! [`buffer_per_shard`](RouterConfig::buffer_per_shard), after which the
-//! whole batch gets an explicit backpressure `Rejected` (the monolith queue's
-//! contract: the router never buffers unboundedly). The published epoch is a
-//! **quorum watermark**: it advances to `min(epoch of Up replicas)` only
-//! while at least `⌊N/2⌋+1` replicas are `Up`, and freezes (never
-//! regresses) below quorum.
+//! **Degradation contract.** Queries answer from the `Up` replica whose
+//! view covers the most of the stream. Only when no replica is `Up` is
+//! the answer tagged `degraded: true`; it then comes from the freshest
+//! replica that is not `Down` (a `Recovering` replica's cell holds its
+//! last published view), or is empty when every replica is `Down`.
+//! `missing_shards` lists the `Down` replicas either way. Ingest keeps
+//! flowing while a replica is down: batches buffer into its replay log up
+//! to [`buffer_per_shard`](RouterConfig::buffer_per_shard), after which
+//! the whole batch gets an explicit backpressure `Rejected` (the monolith
+//! queue's contract: the router never buffers unboundedly). The published
+//! epoch is a **quorum watermark**: it advances to `min(epoch of Up
+//! replicas)` only while at least `⌊N/2⌋+1` replicas are `Up`, and
+//! freezes (never regresses) below quorum.
 
 use crate::manifest::{Manifest, ManifestEntry, MANIFEST_VERSION};
 use crate::state::{ServeConfig, ServeMetrics, ServeSnapshot};
@@ -280,8 +280,10 @@ impl Router {
         e
     }
 
-    /// The snapshot queries read: the `Up` replica with the highest view
-    /// epoch (lowest index on a tie). With no replica `Up` the answer is
+    /// The snapshot queries read: the `Up` replica whose view covers the
+    /// highest stream sequence (lowest index on a tie). View epochs count
+    /// each replica's own swaps and restart at 0 on restore, so they do not
+    /// compare across replicas. With no replica `Up` the answer is
     /// degraded and comes from the freshest replica that is not `Down`,
     /// or is `None` when every replica is `Down`. Also returns whether the
     /// answer is degraded and the `Down` replicas.
@@ -304,7 +306,7 @@ impl Router {
             .filter(|&(_, &h)| h == eligible)
             .map(|(s, _)| s.cell.load())
             // `min_by_key` keeps the first of equal keys: the lowest index.
-            .min_by_key(|snap| std::cmp::Reverse(snap.view.epoch()));
+            .min_by_key(|snap| std::cmp::Reverse(snap.covered_seq));
         let down = (0..)
             .zip(&health)
             .filter(|&(_, &h)| h == ShardHealth::Down)
@@ -633,5 +635,61 @@ impl Router {
         }
         self.epoch.store(manifest.epoch, Ordering::SeqCst);
         Ok(initial)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::ServeState;
+    use ricd_core::RicdPipeline;
+    use ricd_engine::WorkerPool;
+
+    #[test]
+    fn queries_answer_from_the_replica_covering_the_most_batches() {
+        let cfg = ServeConfig {
+            swap_every_batches: 1,
+            ..ServeConfig::default()
+        };
+        let pipeline = || RicdPipeline::new(RicdParams::default()).with_pool(WorkerPool::new(1));
+        let batch = |seq: u64| -> Vec<_> {
+            (0..20u32)
+                .map(|i| (UserId(seq as u32 * 20 + i), ItemId(i % 4), 1))
+                .collect()
+        };
+        let router = Router::new(RouterConfig::default(), MetricsRegistry::new());
+        let [a, b] = [&router.slots[0], &router.slots[1]];
+
+        // Replica 0 never restarted: three batches, three swaps (epoch 3).
+        let mut state_a = ServeState::new_in_cell(cfg.clone(), pipeline(), a.cell.clone());
+        for seq in 0..3 {
+            state_a.ingest(seq, &batch(seq));
+        }
+        // Replica 1 restored a checkpoint covering four batches and took a
+        // fifth: two swaps since the restore (epoch 2).
+        let mut before = ServeState::new(cfg.clone(), pipeline());
+        for seq in 0..4 {
+            before.ingest(seq, &batch(seq));
+        }
+        let ckpt = before.checkpoint();
+        let mut state_b = ServeState::restore_in_cell(cfg, pipeline(), ckpt, b.cell.clone());
+        state_b.ingest(4, &batch(4));
+        assert_eq!((a.epoch(), b.epoch()), (3, 2));
+
+        let (snap, degraded, down) = router.answering_snapshot();
+        assert!(!degraded && down.is_empty());
+        let snap = snap.expect("an Up replica answers");
+        assert!(
+            Arc::ptr_eq(&snap, &b.cell.load()),
+            "answered from the epoch-{} view, not the one covering five batches",
+            snap.view.epoch()
+        );
+
+        // Equal coverage: the lowest index answers.
+        for seq in 3..5 {
+            state_a.ingest(seq, &batch(seq));
+        }
+        let (snap, _, _) = router.answering_snapshot();
+        assert!(Arc::ptr_eq(&snap.expect("answered"), &a.cell.load()));
     }
 }

@@ -79,6 +79,10 @@ pub struct ServeSnapshot {
     pub graph: BipartiteGraph,
     /// The cleaned I2I index (flagged users' wedges removed).
     pub clean_index: I2iIndex,
+    /// The stream sequence `view` covers: every batch below it is in.
+    /// Unlike the view epoch, which counts this state's swaps and restarts
+    /// at 0 on restore, it compares across replicas and restarts.
+    pub(crate) covered_seq: u64,
 }
 
 impl ServeSnapshot {
@@ -90,6 +94,7 @@ impl ServeSnapshot {
             view: RiskView::empty(),
             graph,
             clean_index,
+            covered_seq: 0,
         }
     }
 
@@ -338,6 +343,7 @@ impl ServeState {
             view,
             graph,
             clean_index,
+            covered_seq: self.detector.next_seq(),
         });
         self.batches_since_swap = 0;
         if let Some(interval) = self.cfg.swap_interval {

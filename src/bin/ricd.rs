@@ -190,7 +190,7 @@ ADVERSARIAL LAB:
     than `--target-flagged` nodes are flagged. The matrix prints one
     row per strategy x budget cell (round-0 recall, final recall,
     recovery, collateral); `--out` writes the deterministic JSON
-    report (`BENCH_adversarial.json` in CI).
+    report (the defaults reproduce tests/data/adversarial_matrix.json).
 
 EXIT CODES:
     0  success (including degraded runs, which warn on stderr)

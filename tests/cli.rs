@@ -474,6 +474,76 @@ fn stream_replay_round_trip_writes_report_and_metrics() {
     let _ = std::fs::remove_file(metrics);
 }
 
+/// The committed adaptive-attacker matrix: `ricd eval --adversarial`
+/// (full strategy × budget matrix, default seed) must reproduce it byte
+/// for byte, so any change to an attacker strategy, the detector or the
+/// feedback loop shows as a diff to review. Regenerate after an
+/// intentional change with
+/// `UPDATE_GOLDEN=1 cargo test --test cli adversarial_matrix`.
+#[test]
+fn adversarial_matrix_matches_golden_and_holds_its_gates() {
+    const GOLDEN: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/adversarial_matrix.json"
+    );
+    let out_path = tmp("adversarial.json");
+    let out = ricd()
+        .args(["eval", "--adversarial", "--out", out_path.to_str().unwrap()])
+        .output()
+        .expect("ricd eval --adversarial runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&out_path).unwrap();
+    let _ = std::fs::remove_file(&out_path);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, &json).expect("write golden file");
+    }
+    let golden = std::fs::read_to_string(GOLDEN)
+        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
+    assert!(
+        json == golden,
+        "adversarial matrix drifted from {GOLDEN}; if intentional, rerun with UPDATE_GOLDEN=1"
+    );
+
+    let report: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let strategies = report["strategies"].as_array().unwrap();
+    assert!(
+        strategies.len() >= 4,
+        "strategy library shrank: {strategies:?}"
+    );
+    let cells = report["cells"].as_array().unwrap();
+    let num = |c: &serde_json::Value, key: &str| c[key].as_f64().unwrap();
+    for c in cells {
+        assert!(
+            num(c, "injected_clicks") <= num(c, "budget"),
+            "a cell overspent its budget: {c:?}"
+        );
+    }
+    for budget in report["budgets"].as_array().unwrap() {
+        let fixed = cells
+            .iter()
+            .find(|c| c["strategy"].as_str() == Some("paper_optimal") && &c["budget"] == budget)
+            .expect("the fixed strategy fills every budget column");
+        assert!(
+            num(fixed, "round0_recall") >= 0.8,
+            "paper-optimal cell lost seed-level recall: {fixed:?}"
+        );
+    }
+    // Round 0 plus at most 3 feedback rounds.
+    let recovered = cells.iter().any(|c| {
+        num(c, "round0_recall") < 0.8
+            && num(c, "recovery") >= 0.15
+            && c["rounds"].as_array().unwrap().len() <= 4
+    });
+    assert!(
+        recovered,
+        "no strategy broke the boundary and was recovered by feedback"
+    );
+}
+
 #[test]
 fn stream_flag_validation_exits_2() {
     // Unknown scenario.

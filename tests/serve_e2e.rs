@@ -81,7 +81,9 @@ fn planted_campaign_detected_and_cleaned_over_the_wire() {
             .rejections;
         next_seq += 1;
     }
-    let _ = rejections; // any value is fine; the bench asserts > 0 under load
+    // Any value is fine here; server::tests::backpressure_rejects_when_queue_is_full_and_drops_nothing
+    // asserts > 0 under load.
+    let _ = rejections;
 
     // One synthetic probe user per ridden hot item, each clicking ONLY that
     // hot item: their recommendations are exactly the hot anchor's served
