@@ -3,12 +3,13 @@
 //! Builds the working bipartite graph — the whole click graph, or, when the
 //! business department supplies known-abnormal **seeds**, only the region
 //! around them (`GraphGenerator`'s `MaxBiGraph(node)` — here the two-hop
-//! ball, which contains every biclique through the seed) — then runs the
-//! Algorithm 3 extraction and splits the survivors into connected
-//! components, each one a suspicious attack group.
+//! ball, which contains every biclique through the seed) — keeping only
+//! the users screening could ever report, then runs the Algorithm 3
+//! extraction and splits the survivors into connected components, each one
+//! a suspicious attack group.
 
 use crate::extract::{extract_with, ExtractionStats, FixpointMode, SquareStrategy};
-use crate::params::RicdParams;
+use crate::params::{RicdParams, ScreeningMode};
 use crate::result::SuspiciousGroup;
 use ricd_engine::WorkerPool;
 use ricd_graph::components::connected_components;
@@ -46,6 +47,9 @@ pub struct DetectedGroups {
     pub groups: Vec<SuspiciousGroup>,
     /// Extraction counters.
     pub stats: ExtractionStats,
+    /// Users alive in the starting view: the screenable users (within the
+    /// seed ball, if seeded), or every user under [`ScreeningMode::None`].
+    pub screenable_users: usize,
 }
 
 /// The two-hop ball around the seeds: seeds, their neighbors, and their
@@ -84,16 +88,40 @@ fn seed_ball(g: &BipartiteGraph, seeds: &Seeds) -> (Vec<UserId>, Vec<ItemId>) {
 /// The working view Algorithm 2 starts from: the full graph without seeds,
 /// or the two-hop seed ball with them.
 ///
+/// Unless screening is off ([`ScreeningMode::None`]), its users are cut to
+/// **H**, the users screening could ever keep: those with an edge of
+/// `clicks ≥ T_click` on an item whose whole-graph total is `< T_hot`.
+/// Screening's user check demands such an edge on a group item, so a user
+/// without one anywhere is dropped from every group. Hotness is read from
+/// the whole of `g`, as screening reads it, never from the ball. Items are
+/// not cut.
+///
 /// A seed id the graph does not have has no ball, so it is dropped; seeds
 /// that are *all* out of range leave the empty ball, not the unseeded run.
-pub(crate) fn starting_view<'g>(g: &'g BipartiteGraph, seeds: &Seeds) -> GraphView<'g> {
-    if seeds.is_empty() {
+pub(crate) fn starting_view<'g>(
+    g: &'g BipartiteGraph,
+    seeds: &Seeds,
+    params: &RicdParams,
+) -> GraphView<'g> {
+    let screened = params.screening != ScreeningMode::None;
+    if seeds.is_empty() && !screened {
         return GraphView::full(g);
     }
-    let mut known = seeds.clone();
-    known.users.retain(|u| u.index() < g.num_users());
-    known.items.retain(|v| v.index() < g.num_items());
-    let (users, items) = seed_ball(g, &known);
+    let (mut users, items) = if seeds.is_empty() {
+        let users = (0..g.num_users() as u32).map(UserId).collect();
+        (users, (0..g.num_items() as u32).map(ItemId).collect())
+    } else {
+        let mut known = seeds.clone();
+        known.users.retain(|u| u.index() < g.num_users());
+        known.items.retain(|v| v.index() < g.num_items());
+        seed_ball(g, &known)
+    };
+    if screened {
+        let totals = g.all_item_total_clicks();
+        let heavy_ordinary =
+            |(v, c): (ItemId, u32)| c >= params.t_click && totals[v.index()] < params.t_hot;
+        users.retain(|&u| g.user_neighbors(u).any(heavy_ordinary));
+    }
     GraphView::restricted(g, users, items)
 }
 
@@ -128,8 +156,8 @@ pub fn detect_groups_with(
     mode: FixpointMode,
     metrics: Option<&MetricsRegistry>,
 ) -> DetectedGroups {
-    let mut view = starting_view(g, seeds);
-
+    let mut view = starting_view(g, seeds, params);
+    let screenable_users = view.alive_users();
     let stats = extract_with(&mut view, params, pool, strategy, mode, metrics);
     let groups = connected_components(&view)
         .into_iter()
@@ -142,7 +170,11 @@ pub fn detect_groups_with(
             ridden_hot_items: Vec::new(),
         })
         .collect();
-    DetectedGroups { groups, stats }
+    DetectedGroups {
+        groups,
+        stats,
+        screenable_users,
+    }
 }
 
 /// The configuration [`detect_groups_sharded`] and
@@ -292,7 +324,7 @@ mod tests {
             users: vec![UserId(999_999_999)],
             items: vec![ItemId(g.num_items() as u32)],
         };
-        let view = starting_view(&g, &absent);
+        let view = starting_view(&g, &absent, &RicdParams::default());
         assert_eq!((view.alive_users(), view.alive_items()), (0, 0));
 
         let pipeline = RicdPipeline::new(RicdParams::default())
@@ -362,6 +394,59 @@ mod tests {
         );
         assert_eq!(out.groups.len(), 1);
         assert!(out.groups[0].users.iter().all(|u| u.0 < 10));
+    }
+
+    /// Where the rule changes an output: a vertex whose (α, k₁, k₂) support
+    /// came only through light users. Ten fans click hot item 10 (10 clicks
+    /// each, so none is screenable) and four targets once; two of six
+    /// workers ride item 10 lightly. With the fans alive, item 10 survives
+    /// extraction and screening reports it as ridden; without them its two
+    /// riders are below `⌈α·k₁⌉` and it dies. The screened users and
+    /// targets agree, and what differs only shrinks.
+    #[test]
+    fn rule_drops_a_hot_item_only_light_users_supported() {
+        use crate::screen::screen_groups;
+
+        let mut b = GraphBuilder::new();
+        for u in 0..6u32 {
+            for v in 0..6u32 {
+                b.add_click(UserId(u), ItemId(v), 13);
+            }
+        }
+        b.add_click(UserId(0), ItemId(10), 1);
+        b.add_click(UserId(1), ItemId(10), 1);
+        for fan in 6..16u32 {
+            b.add_click(UserId(fan), ItemId(10), 10);
+            for v in 0..4u32 {
+                b.add_click(UserId(fan), ItemId(v), 1);
+            }
+        }
+        let g = b.build();
+        let params = RicdParams {
+            k1: 4,
+            k2: 4,
+            t_hot: 100,
+            ..RicdParams::default()
+        };
+        let unscreened = RicdParams {
+            screening: ScreeningMode::None,
+            ..params
+        };
+        let pool = WorkerPool::new(2);
+        let detect = |p| detect_groups(&g, &Seeds::none(), p, &pool, SquareStrategy::Parallel);
+
+        let (rule, full) = (detect(&params), detect(&unscreened));
+        assert_eq!((rule.screenable_users, full.screenable_users), (6, 16));
+        assert!(full.groups[0].items.contains(&ItemId(10)));
+        assert!(!rule.groups[0].items.contains(&ItemId(10)));
+
+        let (rule, _) = screen_groups(&g, rule.groups, &params);
+        let (full, _) = screen_groups(&g, full.groups, &params);
+        assert_eq!((rule.len(), full.len()), (1, 1));
+        assert_eq!(rule[0].users, full[0].users);
+        assert_eq!(rule[0].items, full[0].items);
+        assert_eq!(full[0].ridden_hot_items, vec![ItemId(10)]);
+        assert!(rule[0].ridden_hot_items.is_empty());
     }
 
     #[test]

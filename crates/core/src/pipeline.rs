@@ -274,6 +274,7 @@ impl RicdPipeline {
         })?;
         let stats = &detected.stats;
         for (name, count) in [
+            ("extract.screenable_users", detected.screenable_users as u64),
             ("extract.rounds", stats.rounds as u64),
             (
                 "extract.core_removed_users",
